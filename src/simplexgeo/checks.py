@@ -1,9 +1,11 @@
 """Seeded invariant suites behind the CLI's check commands.
 
-Each function draws its own deterministic generator from (seed, tag) and
-returns a list of named results; thresholds are the contracts the rest
-of the package tests against, restated here so a single CLI call can
-audit an installation.
+Each suite draws its own deterministic generator from (seed, tag) and
+returns a list of named results.  A result's threshold is the one place
+its bound is written: ``check-all`` reports every suite, and the
+``isometry`` command reads its verdict from :func:`isometry_results`.
+The bracket and conservation bounds are named constants in
+:mod:`simplexgeo.hamiltonian`, shared with ``integrability_suite``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connections, flows, hamiltonian, metrics, sequence_core, transforms
+from .hamiltonian import BRACKET_TOL, CANONICAL_TOL, CONSERVATION_TOL
 from .sequence_core import SequenceSpec, make_simplex_point, random_simplex_point, random_tangent
 
 
@@ -36,11 +39,11 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, tag]))
 
 
-def check_sequence_core(dim: int, seed: int, trials: int = 20) -> list[CheckResult]:
+def check_sequence_core(dim: int, seed: int) -> list[CheckResult]:
     rng = _rng(seed, 0)
     idem = 0.0
     triangle = -np.inf
-    for _ in range(trials):
+    for _ in range(20):
         p = random_simplex_point(rng, dim)
         v = random_tangent(rng, p)
         again = sequence_core.make_tangent(p, v.comps)
@@ -69,8 +72,8 @@ def check_sequence_core(dim: int, seed: int, trials: int = 20) -> list[CheckResu
     ]
 
 
-def check_transforms(dim: int, seed: int, trials: int = 20) -> list[CheckResult]:
-    rng = _rng(seed, 1)
+def isometry_results(rng: np.random.Generator, dim: int, qs: tuple, trials: int) -> list[CheckResult]:
+    """Round trip and q-root identity at every q in ``qs``, plus the q = 2 isometry."""
     round_trip = 0.0
     isometry = 0.0
     scaled = 0.0
@@ -78,7 +81,7 @@ def check_transforms(dim: int, seed: int, trials: int = 20) -> list[CheckResult]
         p = random_simplex_point(rng, dim)
         v = random_tangent(rng, p)
         w = random_tangent(rng, p)
-        for q in (1.5, 2.0, 3.0, 4.0):
+        for q in qs:
             T = transforms.RootTransform(q)
             back = transforms.inverse(T, transforms.forward(T, p))
             round_trip = max(round_trip, float(np.abs(back.coords - p.coords).max()))
@@ -95,13 +98,17 @@ def check_transforms(dim: int, seed: int, trials: int = 20) -> list[CheckResult]
     ]
 
 
-def check_metrics(dim: int, seed: int, trials: int = 20) -> list[CheckResult]:
+def check_transforms(dim: int, seed: int) -> list[CheckResult]:
+    return isometry_results(_rng(seed, 1), dim, (1.5, 2.0, 3.0, 4.0), 20)
+
+
+def check_metrics(dim: int, seed: int) -> list[CheckResult]:
     rng = _rng(seed, 2)
     finsler_vs_fr = 0.0
     triangle = -np.inf
     endpoints = 0.0
     quad = 0.0
-    for k in range(trials):
+    for k in range(20):
         p = random_simplex_point(rng, dim)
         r = random_simplex_point(rng, dim)
         s = random_simplex_point(rng, dim)
@@ -146,12 +153,12 @@ def _geodesic_length(p, r, steps: int, h: float = 1e-6) -> float:
     return float(total)
 
 
-def check_connections(dim: int, seed: int, trials: int = 10) -> list[CheckResult]:
+def check_connections(dim: int, seed: int) -> list[CheckResult]:
     rng = _rng(seed, 3)
     residual = 0.0
     gauge = 0.0
     zero_sum = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         p0 = random_simplex_point(rng, dim)
         v0 = random_tangent(rng, p0, max_ratio=0.5)
         geo = connections.make_e_geodesic(p0, v0)
@@ -171,12 +178,12 @@ def check_connections(dim: int, seed: int, trials: int = 10) -> list[CheckResult
     ]
 
 
-def check_flows(dim: int, seed: int, trials: int = 10) -> list[CheckResult]:
+def check_flows(dim: int, seed: int) -> list[CheckResult]:
     rng = _rng(seed, 4)
     ode = 0.0
     match = 0.0
     chain = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         obj = flows.LinearObjective(rng.uniform(-1.0, 1.0, size=dim))
         p0 = random_simplex_point(rng, dim)
         ode = max(ode, flows.flow_ode_residual(obj, p0, float(rng.uniform(0.0, 2.0))))
@@ -199,10 +206,10 @@ def check_flows(dim: int, seed: int, trials: int = 10) -> list[CheckResult]:
     ]
 
 
-def check_hamiltonian(dim: int, seed: int, trials: int = 3) -> list[CheckResult]:
+def check_hamiltonian(dim: int, seed: int) -> list[CheckResult]:
     rng = _rng(seed, 5)
     c = np.sort(rng.uniform(0.5, 3.0, size=dim))[::-1].copy()
-    report = hamiltonian.integrability_suite(c, trials=trials, seed=seed)
+    report = hamiltonian.integrability_suite(c, trials=3, seed=seed)
     kahler = 0.0
     canonical = abs(
         hamiltonian.poisson_bracket(
@@ -212,15 +219,15 @@ def check_hamiltonian(dim: int, seed: int, trials: int = 3) -> list[CheckResult]
         )
         - 1.0
     )
-    for _ in range(trials):
+    for _ in range(3):
         z = hamiltonian.random_complex_point(rng, dim)
         kahler = max(kahler, hamiltonian.kahler_gradient_check(hamiltonian.QuadraticHamiltonian(c), z))
     return [
-        _result("poisson brackets max abs", report["brackets_max_abs"], 1e-8),
-        _result("first-integral conservation drift", report["conservation_max_drift"], 1e-10),
+        _result("poisson brackets max abs", report["brackets_max_abs"], BRACKET_TOL),
+        _result("first-integral conservation drift", report["conservation_max_drift"], CONSERVATION_TOL),
         _result("gram determinant positivity", 0.0 if report["gram_det"] > 0 else 1.0, 0.0),
         _result("kahler field identity residual", kahler, 1e-10),
-        _result("canonical pair bracket error", canonical, 1e-10),
+        _result("canonical pair bracket error", canonical, CANONICAL_TOL),
     ]
 
 

@@ -26,6 +26,7 @@ import sys
 import tempfile
 import time
 import traceback
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,34 +45,25 @@ from .flows import (
     solve_lp,
 )
 from .hamiltonian import (
+    BRACKET_TOL,
+    CANONICAL_TOL,
     CoordinateImag,
     CoordinateReal,
-    QuadraticHamiltonian,
+    bracket_max,
+    coordinate_hamiltonian,
     integrability_suite,
     poisson_bracket,
     random_complex_point,
 )
-from .metrics import finsler_norm, fr_inner
-from .sequence_core import (
-    SequenceSpec,
-    lq_norm,
-    make_simplex_point,
-    make_tangent,
-    random_simplex_point,
-    random_tangent,
-)
-from .transforms import RootTransform, pullback_inner, pushforward
+from .sequence_core import SequenceSpec, make_simplex_point, make_tangent
 
-_COMMANDS = ("flow", "geodesic", "lp", "isometry", "bracket", "integrability", "check-all")
-_REQUIRED = {
-    "flow": ("dim", "c_spec", "p0_spec", "t_max", "dt", "method"),
-    "geodesic": ("dim", "p0_spec", "v0_spec", "t_max", "dt"),
-    "lp": ("dim", "c_spec", "p0_spec", "tol"),
-    "isometry": ("dim",),
-    "bracket": ("dim",),
-    "integrability": ("dim", "c_spec"),
-    "check-all": ("dim",),
-}
+
+def _type_ok(value, hint) -> bool:
+    """JSON-level type check: ints pass as floats, but bools pass only as bools."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (float in allowed and isinstance(value, int))
 
 
 @dataclass
@@ -94,7 +86,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        missing = [f for f in _REQUIRED[self.command] if getattr(self, f) is None]
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _type_ok(value, hints[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        missing = [f for f in _COMMANDS[self.command][1] if getattr(self, f) is None]
         if missing:
             raise ConfigError(
                 f"command {self.command!r} is missing required fields: {', '.join(missing)}"
@@ -105,6 +102,8 @@ class RunConfig:
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.dim is not None and self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        if not (self.q > 1.0 and math.isfinite(self.q)):
+            raise ConfigError(f"q must lie in (1, inf), got {self.q}")
         for name in ("t_max", "dt", "tol"):
             val = getattr(self, name)
             if val is not None and (not math.isfinite(val) or val <= 0.0):
@@ -153,8 +152,10 @@ def parse_sequence_spec(
         try:
             with open(path, encoding="utf-8") as fh:
                 spec = SequenceSpec.from_json(json.load(fh))
-        except OSError as exc:
-            raise ParseError(text, len("file:"), f"cannot read {path!r}: {exc}") from None
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            # ValueError covers non-JSON text; the others, JSON that is not a spec object.
+            message = f"no spec in {path!r}: {type(exc).__name__}: {exc}"
+            raise ParseError(text, len("file:"), message) from None
         if dim is not None and spec.dim != dim:
             raise ConfigError(f"spec file has dim {spec.dim} but dim is {dim}")
         return spec
@@ -207,9 +208,7 @@ def _trajectory_json(traj: Trajectory, report: dict, with_timestamp: bool) -> st
         else [float(x) for x in traj.residual_l1],
         "report": report,
     }
-    if with_timestamp:
-        payload["timestamp"] = time.time()
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return _report_json(payload, with_timestamp)
 
 
 def _report_json(report: dict, with_timestamp: bool) -> str:
@@ -320,31 +319,20 @@ def _cmd_lp(cfg: RunConfig) -> tuple[str, bool]:
 
 def _cmd_isometry(cfg: RunConfig) -> tuple[str, bool]:
     rng = np.random.default_rng(cfg.seed)
-    T = RootTransform(2.0)
-    Tq = RootTransform(cfg.q)
-    worst_iso = 0.0
-    worst_q = 0.0
-    for _ in range(50):
-        p = random_simplex_point(rng, cfg.dim)
-        v = random_tangent(rng, p)
-        w = random_tangent(rng, p)
-        fr = fr_inner(v, w)
-        worst_iso = max(worst_iso, abs(fr - pullback_inner(T, v, w)) / max(1.0, abs(fr)))
-        lhs = lq_norm(pushforward(Tq, v).comps, cfg.q)
-        rhs = finsler_norm(v, cfg.q) / cfg.q
-        worst_q = max(worst_q, abs(lhs - rhs) / max(rhs, 1e-30))
-    passed = worst_iso <= 1e-12 and worst_q <= 1e-10
+    # The round trip is reported by check-all only; it is not part of this verdict.
+    _, iso, scaled = checks.isometry_results(rng, cfg.dim, (cfg.q,), 50)
+    passed = iso.passed and scaled.passed
     report = {
         "command": "isometry",
         "dim": cfg.dim,
         "q": cfg.q,
-        "isometry_rel_residual": worst_iso,
-        "q_identity_rel_residual": worst_q,
+        "isometry_rel_residual": iso.value,
+        "q_identity_rel_residual": scaled.value,
         "seed": cfg.seed,
         "pass": passed,
     }
     out = _emit_report(cfg, report)
-    return f"isometry_residual={worst_iso:.3e} q_residual={worst_q:.3e} out={out}", passed
+    return f"isometry_residual={iso.value:.3e} q_residual={scaled.value:.3e} out={out}", passed
 
 
 def _cmd_bracket(cfg: RunConfig) -> tuple[str, bool]:
@@ -352,15 +340,13 @@ def _cmd_bracket(cfg: RunConfig) -> tuple[str, bool]:
     z = random_complex_point(rng, cfg.dim)
     canonical = poisson_bracket(CoordinateReal(0), CoordinateImag(0), z)
     c = rng.uniform(0.5, 3.0, size=cfg.dim)
-    analytic_max = 0.0
-    numeric_max = 0.0
-    for k in range(cfg.dim):
-        for m in range(k + 1, cfg.dim):
-            hk = QuadraticHamiltonian(np.eye(cfg.dim)[k] * c[k])
-            hm = QuadraticHamiltonian(np.eye(cfg.dim)[m] * c[m])
-            analytic_max = max(analytic_max, abs(poisson_bracket(hk, hm, z)))
-            numeric_max = max(numeric_max, abs(poisson_bracket(hk, hm, z, numeric=True)))
-    passed = analytic_max == 0.0 and numeric_max <= 1e-8 and abs(canonical - 1.0) <= 1e-10
+    modes = [coordinate_hamiltonian(c, k) for k in range(cfg.dim)]
+    analytic_max, numeric_max = bracket_max(modes, z)
+    passed = (
+        analytic_max == 0.0
+        and numeric_max <= BRACKET_TOL
+        and abs(canonical - 1.0) <= CANONICAL_TOL
+    )
     report = {
         "command": "bracket",
         "dim": cfg.dim,
@@ -405,14 +391,15 @@ def _cmd_check_all(cfg: RunConfig) -> tuple[str, bool]:
     return f"checks={len(results)} failures={n_fail}", passed
 
 
-_BODIES = {
-    "flow": _cmd_flow,
-    "geodesic": _cmd_geodesic,
-    "lp": _cmd_lp,
-    "isometry": _cmd_isometry,
-    "bracket": _cmd_bracket,
-    "integrability": _cmd_integrability,
-    "check-all": _cmd_check_all,
+#: Command name -> (body, fields the command requires).
+_COMMANDS = {
+    "flow": (_cmd_flow, ("dim", "c_spec", "p0_spec", "t_max", "dt", "method")),
+    "geodesic": (_cmd_geodesic, ("dim", "p0_spec", "v0_spec", "t_max", "dt")),
+    "lp": (_cmd_lp, ("dim", "c_spec", "p0_spec", "tol")),
+    "isometry": (_cmd_isometry, ("dim",)),
+    "bracket": (_cmd_bracket, ("dim",)),
+    "integrability": (_cmd_integrability, ("dim", "c_spec")),
+    "check-all": (_cmd_check_all, ("dim",)),
 }
 
 
@@ -435,7 +422,7 @@ def run(cfg: RunConfig) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        metric, passed = _BODIES[cfg.command](cfg)
+        metric, passed = _COMMANDS[cfg.command][0](cfg)
     except (ConfigError, ParseError, RatioOutOfRange) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -489,12 +476,14 @@ def config_from_args(argv: list[str]) -> RunConfig:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load config {args.config_path!r}: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config {args.config_path!r} does not hold a JSON object")
         unknown = set(file_values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = RunConfig(command=args.command)
     for f in fields(RunConfig):
-        if f.name in ("command", "timestamp"):
+        if f.name == "command":
             continue
         cli_value = getattr(args, f.name, None)
         if cli_value is not None:

@@ -59,11 +59,7 @@ def _shift(p: SimplexPoint, v: TangentVector, h: float) -> SimplexPoint | None:
 
 
 def directional_derivative(
-    W: VectorField,
-    p: SimplexPoint,
-    v: TangentVector,
-    h: float = FIELD_STEP,
-    richardson: bool = False,
+    W: VectorField, p: SimplexPoint, v: TangentVector, h: float = FIELD_STEP
 ) -> np.ndarray:
     """Central-difference derivative of W along the line p + t*v.
 
@@ -71,23 +67,13 @@ def directional_derivative(
     positive; below 1e-8 the point is declared too close to the boundary.
     Returns a raw component vector, not necessarily zero-sum.
     """
-
-    def central(step: float) -> np.ndarray:
-        plus = _shift(p, v, step)
-        minus = _shift(p, v, -step)
-        if plus is None or minus is None:
-            raise StepUnderflow("interior step vanished during refinement")
-        return (W(plus).comps - W(minus).comps) / (2.0 * step)
-
     while _shift(p, v, h) is None or _shift(p, v, -h) is None:
         h *= 0.5
         if h < _STEP_FLOOR:
             raise StepUnderflow(
                 f"no step above {_STEP_FLOOR} keeps {p.coords.min():.3g}-interior point positive"
             )
-    if richardson:
-        return (4.0 * central(h / 2.0) - central(h)) / 3.0
-    return central(h)
+    return (W(_shift(p, v, h)).comps - W(_shift(p, v, -h)).comps) / (2.0 * h)
 
 
 def alpha_connection(
@@ -173,7 +159,6 @@ class EGeodesic:
 
     p0: SimplexPoint
     a: np.ndarray
-    gauge: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.a, dtype=float)
@@ -197,7 +182,7 @@ def make_e_geodesic(p0: SimplexPoint, v0: TangentVector) -> EGeodesic:
         raise BaseMismatch("initial velocity is attached to a different point")
     if p0.tail_bound != 0.0:
         raise ValueError("geodesics start from exact (tail_bound = 0) points")
-    return EGeodesic(p0, v0.comps / p0.coords, gauge=0.0)
+    return EGeodesic(p0, v0.comps / p0.coords)
 
 
 def e_geodesic_eval(g: EGeodesic, t: float) -> SimplexPoint:

@@ -134,17 +134,12 @@ def flow_ode_residual(obj: LinearObjective, p0: SimplexPoint, t: float, h: float
     return float(np.abs(fd - w).sum())
 
 
-def flow_trajectory(
-    obj: LinearObjective,
-    p0: SimplexPoint,
-    times: np.ndarray,
-    residual_step: float = 1e-4,
-) -> Trajectory:
+def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -> Trajectory:
     """Closed-form flow sampled on a time grid, with per-step ODE residuals."""
     times = np.asarray(times, dtype=float)
     points = [flow_closed_form(obj, p0, t) for t in times]
     values = np.array([objective_value(obj, p) for p in points])
-    residuals = np.array([flow_ode_residual(obj, p0, t, residual_step) for t in times])
+    residuals = np.array([flow_ode_residual(obj, p0, t) for t in times])
     return Trajectory(times, tuple(points), values, residuals, {"method": "closed"})
 
 

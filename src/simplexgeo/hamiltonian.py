@@ -24,6 +24,12 @@ from .sequence_core import membership_tol
 
 #: Central-difference step for numeric Wirtinger derivatives.
 WIRTINGER_STEP = 1e-6
+#: Largest numeric bracket |{f, g}| accepted between commuting observables.
+BRACKET_TOL = 1e-8
+#: Largest drift of a single-mode integral accepted along the explicit flow.
+CONSERVATION_TOL = 1e-10
+#: Largest error accepted in the canonical pair {Re z_0, Im z_0} = 1.
+CANONICAL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +188,21 @@ def hamiltonian_value(H: QuadraticHamiltonian, z: ProjectivePoint | ComplexPoint
 # ---------------------------------------------------------------------------
 
 
-def _numeric_wirtinger(f: Callable, z: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+def _numeric_wirtinger(f: Callable, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = z.size
     dz = np.empty(n, dtype=complex)
     dzbar = np.empty(n, dtype=complex)
     for j in range(n):
         e = np.zeros(n, dtype=complex)
-        e[j] = step
-        df_dx = (f(z + e) - f(z - e)) / (2.0 * step)
-        df_dy = (f(z + 1j * e) - f(z - 1j * e)) / (2.0 * step)
+        e[j] = WIRTINGER_STEP
+        df_dx = (f(z + e) - f(z - e)) / (2.0 * WIRTINGER_STEP)
+        df_dy = (f(z + 1j * e) - f(z - 1j * e)) / (2.0 * WIRTINGER_STEP)
         dz[j] = 0.5 * (df_dx - 1j * df_dy)
         dzbar[j] = 0.5 * (df_dx + 1j * df_dy)
     return dz, dzbar
 
 
-def wirtinger(
-    f: Callable, z, step: float = WIRTINGER_STEP, numeric: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def wirtinger(f: Callable, z, numeric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives (df/dz, df/dzbar) of a scalar field at z.
 
     Registered forms (diagonal quadratics, coordinate real and imaginary
@@ -221,7 +225,7 @@ def wirtinger(
             dz[f.index] = -0.5j
             dzbar[f.index] = 0.5j
             return dz, dzbar
-    return _numeric_wirtinger(f, a, step)
+    return _numeric_wirtinger(f, a)
 
 
 def poisson_bracket(f: Callable, g: Callable, z, numeric: bool = False) -> float:
@@ -240,6 +244,17 @@ def poisson_bracket(f: Callable, g: Callable, z, numeric: bool = False) -> float
     if abs(value.imag) > 1e-10:
         raise ComplexResidue(f"bracket has imaginary part {value.imag}")
     return -4.0 * float(np.sum(df_dz.real * dg_dz.imag - df_dz.imag * dg_dz.real))
+
+
+def bracket_max(observables: list[Callable], z) -> tuple[float, float]:
+    """Largest |{f, g}| over pairs f before g: (analytic path, finite-difference path)."""
+    analytic_max = 0.0
+    numeric_max = 0.0
+    for k, f in enumerate(observables):
+        for g in observables[k + 1 :]:
+            analytic_max = max(analytic_max, abs(poisson_bracket(f, g, z)))
+            numeric_max = max(numeric_max, abs(poisson_bracket(f, g, z, numeric=True)))
+    return analytic_max, numeric_max
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +316,12 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
 
     For seeded random unit vectors: all pairwise brackets of the
     single-mode integrals (and of each against the full Hamiltonian)
-    vanish exactly on the analytic path and below 1e-8 numerically; every
-    mode energy is conserved along the explicit flow to 1e-10; and the
-    lifted derivative vectors at a generic point have a positive Gram
-    determinant, witnessing linear independence.  Independence requires
-    every weight to be nonzero; a zero weight fails the Gram check.
+    vanish exactly on the analytic path and below ``BRACKET_TOL``
+    numerically; every mode energy is conserved along the explicit flow
+    to ``CONSERVATION_TOL``; and the lifted derivative vectors at a
+    generic point have a positive Gram determinant, witnessing linear
+    independence.  Independence requires every weight to be nonzero; a
+    zero weight fails the Gram check.
     """
     c = np.asarray(c, dtype=float)
     if trials < 1:
@@ -321,16 +337,9 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     for trial in range(trials):
         rng = np.random.default_rng(streams[trial])
         z = random_complex_point(rng, n)
-        for k in range(n):
-            for m in range(k + 1, n):
-                analytic_max = max(analytic_max, abs(poisson_bracket(h_modes[k], h_modes[m], z)))
-                numeric_max = max(
-                    numeric_max, abs(poisson_bracket(h_modes[k], h_modes[m], z, numeric=True))
-                )
-            analytic_max = max(analytic_max, abs(poisson_bracket(h_full, h_modes[k], z)))
-            numeric_max = max(
-                numeric_max, abs(poisson_bracket(h_full, h_modes[k], z, numeric=True))
-            )
+        analytic, numeric = bracket_max([h_full, *h_modes], z)
+        analytic_max = max(analytic_max, analytic)
+        numeric_max = max(numeric_max, numeric)
         for t in (0.1, 1.0, 10.0):
             moved = hamiltonian_flow(h_full, z, t)
             for h_mode in h_modes:
@@ -353,7 +362,10 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     gram_det = float(np.linalg.det(gram))
 
     passed = (
-        analytic_max == 0.0 and numeric_max <= 1e-8 and drift_max <= 1e-10 and gram_det > 0.0
+        analytic_max == 0.0
+        and numeric_max <= BRACKET_TOL
+        and drift_max <= CONSERVATION_TOL
+        and gram_det > 0.0
     )
     return {
         "brackets_max_abs": max(analytic_max, numeric_max),

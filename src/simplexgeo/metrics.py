@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BaseMismatch,
     DegenerateEndpoints,
     DimensionMismatch,
     ExponentNotTwo,
     InvalidExponent,
     LengthMismatch,
 )
-from .sequence_core import SimplexPoint, SpherePoint, SphereTangent, TangentVector, lq_norm
+from .sequence_core import SimplexPoint, SpherePoint, SphereTangent, TangentVector, lq_norm, same_base
 from .transforms import RootTransform, pullback_inner
 
 
@@ -37,17 +36,9 @@ class MetricReport:
             raise ValueError("residual must be nonnegative")
 
 
-def _same_base(v: TangentVector, w: TangentVector) -> SimplexPoint:
-    if v.base is not w.base and not (
-        np.array_equal(v.base.coords, w.base.coords) and v.base.tail_bound == w.base.tail_bound
-    ):
-        raise BaseMismatch("tangent vectors live at different base points")
-    return v.base
-
-
 def fr_inner(v: TangentVector, w: TangentVector) -> float:
     """Fisher-Rao inner product (1/4) sum v_n w_n / p_n."""
-    p = _same_base(v, w)
+    p = same_base(v, w)
     return 0.25 * float(np.sum(v.comps * w.comps / p.coords))
 
 

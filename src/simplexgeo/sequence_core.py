@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    BaseMismatch,
     DimensionTooSmall,
     InvalidExponent,
     LengthMismatch,
@@ -122,6 +122,15 @@ class TangentVector:
         return float(np.linalg.norm(self.comps / np.sqrt(self.base.coords)))
 
 
+def same_base(v: TangentVector, w: TangentVector) -> SimplexPoint:
+    """The base point two tangents share; :class:`BaseMismatch` if they differ."""
+    if v.base is not w.base and not (
+        np.array_equal(v.base.coords, w.base.coords) and v.base.tail_bound == w.base.tail_bound
+    ):
+        raise BaseMismatch("tangent vectors live at different base points")
+    return v.base
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """Point of the unit lq sphere, optionally flagged strictly positive.
@@ -184,18 +193,7 @@ class SphereTangent:
 # sequence specs and generators
 # ---------------------------------------------------------------------------
 
-#: Named decay profiles for ``custom`` specs: term(n), infinite total, and an
-#: analytic upper bound on the tail sum from index n.
-DECAY_REGISTRY: dict[str, dict[str, Callable[..., float] | float]] = {
-    "inverse-square": {
-        # term 1/(n+1)^2; total pi^2/6; tail_{k>=n} 1/(k+1)^2 < 1/n
-        "term": lambda n: 1.0 / (n + 1.0) ** 2,
-        "total": math.pi**2 / 6.0,
-        "tail": lambda n: 1.0 / n,
-    },
-}
-
-_KINDS = ("uniform", "geometric", "explicit", "custom")
+_KINDS = ("uniform", "geometric", "explicit")
 _NORMALIZATIONS = ("simplex", "sphere", "none")
 
 
@@ -211,7 +209,6 @@ class SequenceSpec:
     dim: int
     ratio: float | None = None
     coords: np.ndarray | None = None
-    decay: str | None = None
     normalize: str = "simplex"
     q: float | None = None
 
@@ -232,8 +229,6 @@ class SequenceSpec:
             if a.size != self.dim:
                 raise LengthMismatch(f"{a.size} coords but dim {self.dim}")
             object.__setattr__(self, "coords", _read_only(a))
-        if self.kind == "custom" and self.decay not in DECAY_REGISTRY:
-            raise NotNormalizable(f"unknown decay profile {self.decay!r}")
         if self.normalize == "sphere":
             if self.q is None or not (self.q > 1.0):
                 raise InvalidExponent("sphere normalization needs q in (1, inf)")
@@ -246,36 +241,27 @@ class SequenceSpec:
             return np.ones(self.dim)
         if self.kind == "geometric":
             return self.ratio ** np.arange(self.dim, dtype=float)
-        if self.kind == "explicit":
-            return np.array(self.coords, dtype=float)
-        term = DECAY_REGISTRY[self.decay]["term"]
-        return np.array([term(n) for n in range(self.dim)], dtype=float)
+        return np.array(self.coords, dtype=float)
 
     @property
     def has_tail_model(self) -> bool:
-        return self.kind in ("geometric", "custom")
+        return self.kind == "geometric"
 
     def tail_sum(self, n: int) -> float:
         """Analytic upper bound on the raw template's tail from index n."""
         if self.kind == "geometric":
             return self.ratio**n / (1.0 - self.ratio)
-        if self.kind == "custom":
-            return float(DECAY_REGISTRY[self.decay]["tail"](n))
         raise NoTailModel(f"{self.kind} specs have no analytic tail")
 
     def infinite_total(self) -> float:
         """Sum of the full infinite raw template, when it converges."""
         if self.kind == "geometric":
             return 1.0 / (1.0 - self.ratio)
-        if self.kind == "custom":
-            return float(DECAY_REGISTRY[self.decay]["total"])
         raise NoTailModel(f"{self.kind} templates are not summable")
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "custom":
-            raise NotNormalizable("custom-decay specs have no JSON form")
         out: dict = {"kind": self.kind, "dim": self.dim, "normalize": self.normalize}
         if self.ratio is not None:
             out["ratio"] = self.ratio

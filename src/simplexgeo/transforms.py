@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BaseMismatch, ExponentNotTwo, InvalidExponent, NotPositive
-from .sequence_core import SimplexPoint, SpherePoint, SphereTangent, TangentVector
+from .errors import ExponentNotTwo, InvalidExponent, NotPositive
+from .sequence_core import SimplexPoint, SpherePoint, SphereTangent, TangentVector, same_base
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,7 @@ def pullback_inner(transform: RootTransform, v: TangentVector, w: TangentVector)
     """
     if transform.q != 2.0:
         raise ExponentNotTwo(f"pullback inner product needs q = 2, got {transform.q}")
-    if v.base is not w.base and not (
-        np.array_equal(v.base.coords, w.base.coords) and v.base.tail_bound == w.base.tail_bound
-    ):
-        raise BaseMismatch("tangent vectors live at different base points")
+    same_base(v, w)
     dv = pushforward(transform, v)
     dw = pushforward(transform, w)
     return float(np.dot(dv.comps, dw.comps))

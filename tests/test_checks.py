@@ -1,0 +1,41 @@
+from simplexgeo import hamiltonian
+from simplexgeo.checks import check_all
+
+# The bounds check-all reports, in order.  Written out here so a loosened
+# bound in the code fails this test instead of passing unnoticed.
+CHECK_ALL_BOUNDS = [
+    ("make_tangent idempotent (bitwise)", 0.0),
+    ("lq_norm triangle defect", 1e-12),
+    ("refine successive-diff decrease", 0.0),
+    ("root transform round trip", 1e-14),
+    ("square-root isometry residual", 1e-12),
+    ("q-root scaled-isometry rel residual", 1e-10),
+    ("finsler(q=2) vs 2 sqrt(fr_inner)", 1e-12),
+    ("fr_distance triangle defect", 1e-12),
+    ("fr_geodesic endpoint error", 1e-12),
+    ("geodesic quadrature length error", 1e-4),
+    ("e-geodesic equation residual", 1e-6),
+    ("e-geodesic gauge invariance", 1e-14),
+    ("alpha-connection tangency", 1e-10),
+    ("flow ODE residual (l1)", 1e-6),
+    ("flow vs e-geodesic deviation (l1)", 1e-12),
+    ("metric-normalization chain identity", 1e-12),
+    ("rk4 oracle endpoint error (l1)", 1e-6),
+    ("poisson brackets max abs", 1e-8),
+    ("first-integral conservation drift", 1e-10),
+    ("gram determinant positivity", 0.0),
+    ("kahler field identity residual", 1e-10),
+    ("canonical pair bracket error", 1e-10),
+]
+
+
+def test_check_all_bounds_pinned():
+    results = check_all(4, 0)
+    assert [(r.name, r.threshold) for r in results] == CHECK_ALL_BOUNDS
+    assert all(r.passed for r in results)
+
+
+def test_hamiltonian_tolerances_pinned():
+    assert hamiltonian.BRACKET_TOL == 1e-8
+    assert hamiltonian.CONSERVATION_TOL == 1e-10
+    assert hamiltonian.CANONICAL_TOL == 1e-10

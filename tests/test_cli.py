@@ -53,6 +53,17 @@ class TestParseSequenceSpec:
         with pytest.raises(ConfigError):
             parse_sequence_spec(f"file:{path}", dim=4)
 
+    @pytest.mark.parametrize(
+        "content", ["not json", json.dumps({"dim": 6, "ratio": 0.3})], ids=["not-json", "no-kind"]
+    )
+    def test_bad_file_spec(self, tmp_path, content, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(content)
+        with pytest.raises(ParseError):
+            parse_sequence_spec(f"file:{path}", dim=6)
+        assert main(["integrability", "--dim", "6", "--c", f"file:{path}"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 FLOW_ARGS = [
     "flow", "--dim", "8", "--c", "geometric:0.5", "--p0", "uniform",
@@ -191,7 +202,6 @@ class TestDeterminism:
         with pytest.raises(ConfigError):
             config_from_args(["flow", "--config", str(path)])
 
-
 class TestAtomicity:
     def test_failed_replace_leaves_nothing(self, tmp_path, monkeypatch):
         target = tmp_path / "out.csv"
@@ -229,8 +239,41 @@ class TestRunConfigValidation:
         )
         assert run(cfg) == 0
 
+    @pytest.mark.parametrize("q", ["1.0", "0.5", "inf"])
+    def test_q_outside_open_interval_is_config_error(self, q, capsys):
+        assert main(["isometry", "--dim", "4", "--q", q]) == 2
+        assert capsys.readouterr().err.startswith("config error: q must lie in (1, inf)")
+
     def test_negative_dt_rejected(self):
         cfg = RunConfig(command="flow", dim=4, c_spec="uniform", p0_spec="uniform",
                         t_max=1.0, dt=-0.1)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"dim": "8"}, "dim must be int | None, got '8'"),
+            ({"dim": 8, "seed": 1.5}, "seed must be int"),
+            ({"dim": 8, "q": True}, "q must be float"),
+            ({"dim": 8, "out_path": 3}, "out_path must be str | None"),
+            ([8], "does not hold a JSON object"),
+        ],
+    )
+    def test_wrong_config_type_is_config_error(self, tmp_path, capsys, values, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(values))
+        assert main(["isometry", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize(
+        "in_config, flags, stamped",
+        [(False, [], False), (True, [], True), (True, ["--no-timestamp"], False)],
+    )
+    def test_config_timestamp(self, tmp_path, in_config, flags, stamped):
+        path = tmp_path / "run.json"
+        out = tmp_path / "iso.json"
+        path.write_text(json.dumps({"dim": 4, "timestamp": in_config, "out_path": str(out)}))
+        assert main(["isometry", "--config", str(path), *flags]) == 0
+        assert ("timestamp" in json.loads(out.read_text())) == stamped

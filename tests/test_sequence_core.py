@@ -174,12 +174,6 @@ class TestRefine:
             diffs.append(lq_norm(padded - hi.coords, 2.0))
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
 
-    def test_custom_decay(self):
-        spec = SequenceSpec("custom", 8, decay="inverse-square", normalize="none")
-        p = make_simplex_point(spec)
-        assert p.mass() < 1.0
-        assert p.mass() >= 1.0 - p.tail_bound
-
 
 class TestSpecSerialization:
     def test_round_trip(self):
@@ -198,11 +192,6 @@ class TestSpecSerialization:
         assert obj["normalize"] == "sphere" and obj["q"] == 3.0
         x = make_sphere_point(spec)
         assert np.sum(np.abs(x.coords) ** 3.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_custom_not_serializable(self):
-        spec = SequenceSpec("custom", 4, decay="inverse-square")
-        with pytest.raises(NotNormalizable):
-            spec.to_json()
 
 
 class TestSoftmaxCoords:
