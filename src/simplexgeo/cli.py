@@ -9,6 +9,11 @@ Commands
     integrability  commuting-integrals report (JSON)
     check-all      every module's invariant suite
 
+A run validates its configuration, builds every given spec flag
+(:func:`_inputs`), runs the command body and writes one file (:func:`_emit`).
+Exit status: 0 pass, 1 failure inside a body, 2 any input rejected by the
+configuration schema or the data model.
+
 Outputs are written atomically (temp file + rename).  CSV columns are
 ``t,p_0,...,p_{N-1},objective,residual_l1`` with shortest round-trip
 number formatting; JSON mirrors carry the same fields plus a report
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import checks
 from .connections import e_connection_residual, make_e_geodesic
-from .errors import ConfigError, ParseError, RatioOutOfRange, SimplexGeoError
+from .errors import ConfigError, ParseError, SimplexGeoError
 from .flows import (
     LinearObjective,
     Trajectory,
@@ -55,7 +60,7 @@ from .hamiltonian import (
     poisson_bracket,
     random_complex_point,
 )
-from .sequence_core import SequenceSpec, make_simplex_point, make_tangent
+from .sequence_core import SequenceSpec, SimplexPoint, TangentVector, make_simplex_point, make_tangent
 
 
 def _type_ok(value, hint) -> bool:
@@ -115,25 +120,21 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def parse_sequence_spec(
-    text: str, dim: int | None = None, normalize: str = "none"
-) -> SequenceSpec:
-    """Parse a spec string; ``dim``/``normalize`` come from the consuming flag."""
+def parse_sequence_spec(text: str, dim: int | None = None) -> SequenceSpec:
+    """Parse a spec string; ``dim`` comes from the consuming flag."""
     if text == "uniform":
         if dim is None:
             raise ParseError(text, 0, "uniform spec needs an explicit dimension")
-        return SequenceSpec("uniform", dim, normalize=normalize)
+        return SequenceSpec("uniform", dim)
     if text.startswith("geometric:"):
         arg = text[len("geometric:") :]
         try:
             ratio = float(arg)
         except ValueError:
             raise ParseError(text, len("geometric:"), f"bad ratio {arg!r}") from None
-        if not (0.0 < ratio < 1.0):
-            raise RatioOutOfRange(f"geometric ratio must lie in (0, 1), got {ratio}")
         if dim is None:
             raise ParseError(text, 0, "geometric spec needs an explicit dimension")
-        return SequenceSpec("geometric", dim, ratio=ratio, normalize=normalize)
+        return SequenceSpec("geometric", dim, ratio=ratio)
     if text.startswith("explicit:"):
         body = text[len("explicit:") :]
         values = []
@@ -146,7 +147,7 @@ def parse_sequence_spec(
             offset += len(part) + 1
         if dim is not None and dim != len(values):
             raise ConfigError(f"explicit spec has {len(values)} coords but dim is {dim}")
-        return SequenceSpec("explicit", len(values), coords=np.asarray(values), normalize=normalize)
+        return SequenceSpec("explicit", len(values), coords=np.asarray(values))
     if text.startswith("file:"):
         path = text[len("file:") :]
         try:
@@ -196,52 +197,52 @@ def _trajectory_csv(traj: Trajectory) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _trajectory_json(traj: Trajectory, report: dict, with_timestamp: bool) -> str:
-    payload = {
-        "times": [float(t) for t in traj.times],
-        "points": [[float(x) for x in p.coords] for p in traj.points],
-        "objective": None
-        if traj.objective is None
-        else [float(x) for x in traj.objective],
-        "residual_l1": None
-        if traj.residual_l1 is None
-        else [float(x) for x in traj.residual_l1],
-        "report": report,
-    }
-    return _report_json(payload, with_timestamp)
+def _floats(column) -> list[float] | None:
+    return None if column is None else [float(x) for x in column]
 
 
-def _report_json(report: dict, with_timestamp: bool) -> str:
-    payload = dict(report)
-    if with_timestamp:
-        payload["timestamp"] = time.time()
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-
-def _default_out(cfg: RunConfig, ext: str) -> str:
-    return cfg.out_path if cfg.out_path else f"{cfg.command}.{ext}"
-
-
-def _emit_trajectory(cfg: RunConfig, traj: Trajectory, report: dict) -> str:
-    fmt = cfg.format or "csv"
-    if fmt == "csv":
-        out = _default_out(cfg, "csv")
-        _write_atomic(out, _trajectory_csv(traj))
+def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
+    """Write the output to ``--out`` or ``<command>.<ext>`` and return its path:
+    CSV for a trajectory unless ``--format json``, JSON for everything else."""
+    as_csv = traj is not None and cfg.format != "json"
+    path = cfg.out_path or f"{cfg.command}.{'csv' if as_csv else 'json'}"
+    if as_csv:
+        payload = _trajectory_csv(traj)
     else:
-        out = _default_out(cfg, "json")
-        _write_atomic(out, _trajectory_json(traj, report, cfg.timestamp))
-    return out
-
-
-def _emit_report(cfg: RunConfig, report: dict) -> str:
-    out = _default_out(cfg, "json")
-    _write_atomic(out, _report_json(report, cfg.timestamp))
-    return out
+        if traj is not None:
+            report = {
+                "times": _floats(traj.times),
+                "points": [_floats(p.coords) for p in traj.points],
+                "objective": _floats(traj.objective),
+                "residual_l1": _floats(traj.residual_l1),
+                "report": report,
+            }
+        if cfg.timestamp:
+            report = {**report, "timestamp": time.time()}
+        payload = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    _write_atomic(path, payload)
+    return path
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each returns (key metric string, passed, report dict)
+# input step and command bodies; each body returns (key metric string, passed)
 # ---------------------------------------------------------------------------
+
+
+def _inputs(
+    cfg: RunConfig,
+) -> tuple[LinearObjective | None, SimplexPoint | None, TangentVector | None]:
+    """Build every given spec flag, whether or not the command reads it."""
+    obj = p0 = v0 = None
+    if cfg.c_spec is not None:
+        obj = LinearObjective(parse_sequence_spec(cfg.c_spec, cfg.dim).template())
+    if cfg.p0_spec is not None:
+        p0 = make_simplex_point(parse_sequence_spec(cfg.p0_spec, cfg.dim))
+    if cfg.v0_spec is not None:
+        if p0 is None:
+            raise ConfigError("--v0 needs --p0, the point the velocity is attached to")
+        v0 = make_tangent(p0, parse_sequence_spec(cfg.v0_spec, cfg.dim).template())
+    return obj, p0, v0
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
@@ -249,9 +250,7 @@ def _grid(cfg: RunConfig) -> np.ndarray:
     return cfg.dt * np.arange(n + 1)
 
 
-def _cmd_flow(cfg: RunConfig) -> tuple[str, bool]:
-    obj = LinearObjective(parse_sequence_spec(cfg.c_spec, cfg.dim, "none").template())
-    p0 = make_simplex_point(parse_sequence_spec(cfg.p0_spec, cfg.dim, "simplex"))
+def _cmd_flow(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tuple[str, bool]:
     if cfg.method == "closed":
         traj = flow_trajectory(obj, p0, _grid(cfg))
     else:
@@ -266,22 +265,19 @@ def _cmd_flow(cfg: RunConfig) -> tuple[str, bool]:
         "rows": len(traj),
         "pass": passed,
     }
-    out = _emit_trajectory(cfg, traj, report)
+    out = _emit(cfg, report, traj)
     return f"final_objective={traj.objective[-1]:.6g} out={out}", passed
 
 
-def _cmd_geodesic(cfg: RunConfig) -> tuple[str, bool]:
-    p0 = make_simplex_point(parse_sequence_spec(cfg.p0_spec, cfg.dim, "simplex"))
-    v0 = make_tangent(p0, parse_sequence_spec(cfg.v0_spec, cfg.dim, "none").template())
+def _cmd_geodesic(
+    cfg: RunConfig, obj: LinearObjective | None, p0: SimplexPoint, v0: TangentVector
+) -> tuple[str, bool]:
     geo = make_e_geodesic(p0, v0)
     times = _grid(cfg)
     points = tuple(geo(t) for t in times)
-    obj = None
-    if cfg.c_spec:
-        lin = LinearObjective(parse_sequence_spec(cfg.c_spec, cfg.dim, "none").template())
-        obj = np.array([objective_value(lin, p) for p in points])
+    values = None if obj is None else np.array([objective_value(obj, p) for p in points])
     residuals = np.array([float(np.abs(e_connection_residual(geo, t)).sum()) for t in times])
-    traj = Trajectory(times, points, obj, residuals, {"method": "e-geodesic"})
+    traj = Trajectory(times, points, values, residuals)
     worst = float(residuals.max())
     passed = worst <= 1e-5
     report = {
@@ -290,13 +286,11 @@ def _cmd_geodesic(cfg: RunConfig) -> tuple[str, bool]:
         "rows": len(traj),
         "pass": passed,
     }
-    out = _emit_trajectory(cfg, traj, report)
+    out = _emit(cfg, report, traj)
     return f"max_residual_l1={worst:.3e} out={out}", passed
 
 
-def _cmd_lp(cfg: RunConfig) -> tuple[str, bool]:
-    obj = LinearObjective(parse_sequence_spec(cfg.c_spec, cfg.dim, "none").template())
-    p0 = make_simplex_point(parse_sequence_spec(cfg.p0_spec, cfg.dim, "simplex"))
+def _cmd_lp(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tuple[str, bool]:
     limit, report = solve_lp(obj, p0, cfg.tol)
     rate_ok = report.rate_rel_err is None or report.rate_rel_err <= 0.05
     passed = report.converged and report.advisory is None and rate_ok
@@ -305,19 +299,18 @@ def _cmd_lp(cfg: RunConfig) -> tuple[str, bool]:
     payload["limit"] = [float(x) for x in limit.coords]
     payload["objective_at_limit"] = objective_value(obj, limit)
     payload["pass"] = passed
-    if (cfg.format or "json") == "csv":
-        times = np.array([t for t, _ in report.probes])
-        points = tuple(flow_closed_form(obj, p0, t) for t, _ in report.probes)
+    probes = None
+    if cfg.format == "csv":
+        times, distances = np.array(report.probes).T
+        points = tuple(flow_closed_form(obj, p0, t) for t in times)
         values = np.array([objective_value(obj, p) for p in points])
-        residuals = np.array([d for _, d in report.probes])
-        out = _emit_trajectory(cfg, Trajectory(times, points, values, residuals), payload)
-    else:
-        out = _emit_report(cfg, payload)
+        probes = Trajectory(times, points, values, distances)
+    out = _emit(cfg, payload, probes)
     rate = "none" if report.rate is None else f"{report.rate:.4g}"
     return f"converged={report.converged} rate={rate} out={out}", passed
 
 
-def _cmd_isometry(cfg: RunConfig) -> tuple[str, bool]:
+def _cmd_isometry(cfg: RunConfig, *_) -> tuple[str, bool]:
     rng = np.random.default_rng(cfg.seed)
     # The round trip is reported by check-all only; it is not part of this verdict.
     _, iso, scaled = checks.isometry_results(rng, cfg.dim, (cfg.q,), 50)
@@ -331,11 +324,11 @@ def _cmd_isometry(cfg: RunConfig) -> tuple[str, bool]:
         "seed": cfg.seed,
         "pass": passed,
     }
-    out = _emit_report(cfg, report)
+    out = _emit(cfg, report)
     return f"isometry_residual={iso.value:.3e} q_residual={scaled.value:.3e} out={out}", passed
 
 
-def _cmd_bracket(cfg: RunConfig) -> tuple[str, bool]:
+def _cmd_bracket(cfg: RunConfig, *_) -> tuple[str, bool]:
     rng = np.random.default_rng(cfg.seed)
     z = random_complex_point(rng, cfg.dim)
     canonical = poisson_bracket(CoordinateReal(0), CoordinateImag(0), z)
@@ -356,21 +349,20 @@ def _cmd_bracket(cfg: RunConfig) -> tuple[str, bool]:
         "seed": cfg.seed,
         "pass": passed,
     }
-    out = _emit_report(cfg, report)
+    out = _emit(cfg, report)
     return f"canonical={canonical:.12g} numeric_max={numeric_max:.3e} out={out}", passed
 
 
-def _cmd_integrability(cfg: RunConfig) -> tuple[str, bool]:
-    c = parse_sequence_spec(cfg.c_spec, cfg.dim, "none").template()
-    report = integrability_suite(c, trials=10, seed=cfg.seed)
-    out = _emit_report(cfg, report)
+def _cmd_integrability(cfg: RunConfig, obj: LinearObjective, *_) -> tuple[str, bool]:
+    report = integrability_suite(obj.c, trials=10, seed=cfg.seed)
+    out = _emit(cfg, report)
     return (
         f"brackets_max_abs={report['brackets_max_abs']:.3e} "
         f"gram_det={report['gram_det']:.3e} out={out}"
     ), bool(report["pass"])
 
 
-def _cmd_check_all(cfg: RunConfig) -> tuple[str, bool]:
+def _cmd_check_all(cfg: RunConfig, *_) -> tuple[str, bool]:
     results = checks.check_all(cfg.dim, cfg.seed)
     for res in results:
         print(res.line())
@@ -386,7 +378,7 @@ def _cmd_check_all(cfg: RunConfig) -> tuple[str, bool]:
         "pass": passed,
     }
     if cfg.out_path:
-        _emit_report(cfg, report)
+        _emit(cfg, report)
     n_fail = sum(not r.passed for r in results)
     return f"checks={len(results)} failures={n_fail}", passed
 
@@ -415,17 +407,15 @@ def _blame(exc: BaseException) -> str:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one configured command; 0 pass, 1 failure, 2 config error."""
+    """Execute one configured command; 0 pass, 1 failure, 2 rejected input."""
     try:
         cfg.validate()
-    except ConfigError as exc:
+        inputs = _inputs(cfg)
+    except SimplexGeoError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        metric, passed = _COMMANDS[cfg.command][0](cfg)
-    except (ConfigError, ParseError, RatioOutOfRange) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        metric, passed = _COMMANDS[cfg.command][0](cfg, *inputs)
     except SimplexGeoError as exc:
         print(f"{cfg.command} dim={cfg.dim} error in {_blame(exc)}: {exc}", file=sys.stderr)
         return 1
@@ -478,18 +468,18 @@ def config_from_args(argv: list[str]) -> RunConfig:
             raise ConfigError(f"cannot load config {args.config_path!r}: {exc}") from None
         if not isinstance(file_values, dict):
             raise ConfigError(f"config {args.config_path!r} does not hold a JSON object")
-        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    # The command comes from the command line only, so a config file may not set it.
+    settable = [f.name for f in fields(RunConfig) if f.name != "command"]
+    unknown = set(file_values) - set(settable)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = RunConfig(command=args.command)
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        cli_value = getattr(args, f.name, None)
+    for name in settable:
+        cli_value = getattr(args, name, None)
         if cli_value is not None:
-            setattr(cfg, f.name, cli_value)
-        elif f.name in file_values:
-            setattr(cfg, f.name, file_values[f.name])
+            setattr(cfg, name, cli_value)
+        elif name in file_values:
+            setattr(cfg, name, file_values[name])
     env_seed = os.environ.get("SIMPLEXGEO_SEED")
     if args.seed is None and "seed" not in file_values and env_seed is not None:
         try:

@@ -17,7 +17,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import BaseMismatch, CurveDomain, LengthMismatch, NonFiniteInput, StepUnderflow
-from .sequence_core import SimplexPoint, TangentVector, make_tangent, softmax_coords
+from .sequence_core import (
+    SimplexPoint,
+    TangentVector,
+    _read_only,
+    _require_finite,
+    check_exponent,
+    make_tangent,
+    same_point,
+    softmax_coords,
+)
 
 #: Default finite-difference steps: fields are smooth in p, curves in t.
 FIELD_STEP = 1e-5
@@ -40,7 +49,7 @@ class VectorField:
 
     def __call__(self, p: SimplexPoint) -> TangentVector:
         v = self.func(p)
-        if not np.array_equal(v.base.coords, p.coords):
+        if not same_point(v.base, p):
             raise BaseMismatch(f"field {self.label!r} returned a vector at a different point")
         return v
 
@@ -89,8 +98,7 @@ def alpha_connection(
     with q* = q / (q - 1).  The correction is algebraically zero-sum on
     the simplex, so the finite-difference residue is projected away.
     """
-    if not (q > 1.0 and math.isfinite(q)):
-        raise ValueError(f"q must lie in (1, inf), got {q}")
+    check_exponent(q)
     vp = V(p).comps
     wp = W(p).comps
     d = directional_derivative(W, p, V(p), h)
@@ -166,11 +174,8 @@ class EGeodesic:
             raise LengthMismatch(
                 f"exponent vector has length {arr.size}, point has dim {self.p0.dim}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteInput("exponents contain NaN or infinity")
-        out = np.array(arr, copy=True)
-        out.setflags(write=False)
-        object.__setattr__(self, "a", out)
+        _require_finite(arr, "exponent vector")
+        object.__setattr__(self, "a", _read_only(arr))
 
     def __call__(self, t: float) -> SimplexPoint:
         return e_geodesic_eval(self, t)
@@ -178,7 +183,7 @@ class EGeodesic:
 
 def make_e_geodesic(p0: SimplexPoint, v0: TangentVector) -> EGeodesic:
     """Geodesic through p0 with initial velocity v0: exponents v0_n / p0_n."""
-    if v0.base is not p0 and not np.array_equal(v0.base.coords, p0.coords):
+    if not same_point(v0.base, p0):
         raise BaseMismatch("initial velocity is attached to a different point")
     if p0.tail_bound != 0.0:
         raise ValueError("geodesics start from exact (tail_bound = 0) points")

@@ -15,19 +15,26 @@ t -> 4 t.  The curves above are taken as the defining convention, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .connections import EGeodesic, make_e_geodesic
+from .connections import EGeodesic, VectorField, make_e_geodesic
 from .errors import (
     DimensionMismatch,
     NonFiniteInput,
     NonPositiveCoordinate,
     PositivityLost,
 )
-from .sequence_core import SimplexPoint, TangentVector, make_tangent, softmax_coords
+from .sequence_core import (
+    SimplexPoint,
+    TangentVector,
+    _read_only,
+    _require_finite,
+    make_tangent,
+    softmax_coords,
+)
 
 #: Horizon cap for the closed-form solver's doubling schedule.
 MAX_HORIZON = 1e6
@@ -43,11 +50,8 @@ class LinearObjective:
         a = np.asarray(self.c, dtype=float)
         if a.ndim != 1 or a.size < 2:
             raise DimensionMismatch("objective needs a vector of at least 2 coefficients")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput("objective coefficients contain NaN or infinity")
-        out = np.array(a, copy=True)
-        out.setflags(write=False)
-        object.__setattr__(self, "c", out)
+        _require_finite(a, "objective coefficient vector")
+        object.__setattr__(self, "c", _read_only(a))
 
     @property
     def dim(self) -> int:
@@ -71,7 +75,6 @@ class Trajectory:
     points: tuple[SimplexPoint, ...]
     objective: np.ndarray | None = None
     residual_l1: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -111,8 +114,6 @@ def gradient_field(obj: LinearObjective, p: SimplexPoint) -> TangentVector:
 
 def gradient_vector_field(obj: LinearObjective):
     """The ascent field as a reusable :class:`~simplexgeo.connections.VectorField`."""
-    from .connections import VectorField
-
     return VectorField(lambda p: gradient_field(obj, p), label=f"ascent[dim={obj.dim}]")
 
 
@@ -140,7 +141,7 @@ def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -
     points = [flow_closed_form(obj, p0, t) for t in times]
     values = np.array([objective_value(obj, p) for p in points])
     residuals = np.array([flow_ode_residual(obj, p0, t) for t in times])
-    return Trajectory(times, tuple(points), values, residuals, {"method": "closed"})
+    return Trajectory(times, tuple(points), values, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +192,7 @@ def integrate_rk4(
     values = None
     if objective is not None:
         values = np.array([objective_value(objective, p) for p in points])
-    return Trajectory(
-        times, tuple(points), values, np.asarray(drifts), {"method": "rk4", "dt": dt}
-    )
+    return Trajectory(times, tuple(points), values, np.asarray(drifts))
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +220,7 @@ class LpReport:
         return abs(self.rate - self.gap) / abs(self.gap)
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "t_final": self.t_final,
-            "tol": self.tol,
-            "distance": self.distance,
-            "gap": self.gap,
-            "rate": self.rate,
-            "rate_rel_err": self.rate_rel_err,
-            "advisory": self.advisory,
-            "probes": [[t, d] for t, d in self.probes],
-        }
+        return {**asdict(self), "rate_rel_err": self.rate_rel_err}
 
 
 def _vertex_distance(obj: LinearObjective, p0: SimplexPoint, t: float) -> float:

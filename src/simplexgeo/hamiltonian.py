@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComplexResidue, DimensionMismatch, NonFiniteInput, NotNormalizable
-from .sequence_core import membership_tol
+from .sequence_core import _read_only, _require_finite, membership_tol
 
 #: Central-difference step for numeric Wirtinger derivatives.
 WIRTINGER_STEP = 1e-6
@@ -47,14 +47,11 @@ class ComplexPoint:
         a = np.asarray(self.coords, dtype=complex)
         if a.ndim != 1 or a.size < 1:
             raise DimensionMismatch("coords must be a nonempty one-dimensional vector")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput("coords contain NaN or infinity")
+        _require_finite(a, "coordinate vector")
         s = float(np.sum(np.abs(a) ** 2))
         if abs(s - 1.0) > membership_tol(a.size):
             raise NotNormalizable(f"sum |z|^2 = {s}, expected 1")
-        out = np.array(a, copy=True)
-        out.setflags(write=False)
-        object.__setattr__(self, "coords", out)
+        object.__setattr__(self, "coords", _read_only(a))
 
     @property
     def dim(self) -> int:
@@ -111,11 +108,8 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         a = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput("weights contain NaN or infinity")
-        out = np.array(a, copy=True)
-        out.setflags(write=False)
-        object.__setattr__(self, "weights", out)
+        _require_finite(a, "weight vector")
+        object.__setattr__(self, "weights", _read_only(a))
 
     @property
     def dim(self) -> int:

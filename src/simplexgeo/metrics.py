@@ -16,10 +16,17 @@ from .errors import (
     DegenerateEndpoints,
     DimensionMismatch,
     ExponentNotTwo,
-    InvalidExponent,
     LengthMismatch,
 )
-from .sequence_core import SimplexPoint, SpherePoint, SphereTangent, TangentVector, lq_norm, same_base
+from .sequence_core import (
+    SimplexPoint,
+    SpherePoint,
+    SphereTangent,
+    TangentVector,
+    check_exponent,
+    lq_norm,
+    same_base,
+)
 from .transforms import RootTransform, pullback_inner
 
 
@@ -55,8 +62,7 @@ def finsler_norm(v: TangentVector, q: float) -> float:
     Evaluated as the lq norm of v_n * p_n^((1-q)/q), which is the same
     number without forming the possibly huge ratios v_n / p_n.
     """
-    if not (q > 1.0 and np.isfinite(q)):
-        raise InvalidExponent(f"q must lie in (1, inf), got {q}")
+    check_exponent(q)
     p = v.base.coords
     return lq_norm(v.comps * p ** ((1.0 - q) / q), q)
 

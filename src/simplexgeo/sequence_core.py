@@ -48,6 +48,12 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NonFiniteInput(f"{what} contains NaN or infinity")
 
 
+def check_exponent(q: float | None) -> None:
+    """Raise :class:`InvalidExponent` unless 1 < q < inf."""
+    if q is None or not (1.0 < q < math.inf):
+        raise InvalidExponent(f"q must lie in (1, inf), got {q}")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -72,7 +78,7 @@ class SimplexPoint:
             raise DimensionTooSmall("coords must be a one-dimensional vector")
         if a.size < 2:
             raise DimensionTooSmall(f"need at least 2 coordinates, got {a.size}")
-        _require_finite(a, "coords")
+        _require_finite(a, "coordinate vector")
         if not np.all(a > 0.0):
             raise NonPositiveCoordinate("simplex coordinates must be strictly positive")
         if not (self.tail_bound >= 0.0 and math.isfinite(self.tail_bound)):
@@ -107,7 +113,7 @@ class TangentVector:
         a = np.asarray(self.comps, dtype=float)
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
-        _require_finite(a, "comps")
+        _require_finite(a, "component vector")
         if abs(float(a.sum())) > membership_tol(a.size):
             raise NotNormalizable(f"tangent components sum to {a.sum()}, expected 0")
         object.__setattr__(self, "comps", _read_only(a))
@@ -122,11 +128,14 @@ class TangentVector:
         return float(np.linalg.norm(self.comps / np.sqrt(self.base.coords)))
 
 
+def same_point(p: SimplexPoint, r: SimplexPoint) -> bool:
+    """Whether p and r are one point: equal coordinates and equal tail bound."""
+    return p is r or (np.array_equal(p.coords, r.coords) and p.tail_bound == r.tail_bound)
+
+
 def same_base(v: TangentVector, w: TangentVector) -> SimplexPoint:
     """The base point two tangents share; :class:`BaseMismatch` if they differ."""
-    if v.base is not w.base and not (
-        np.array_equal(v.base.coords, w.base.coords) and v.base.tail_bound == w.base.tail_bound
-    ):
+    if not same_point(v.base, w.base):
         raise BaseMismatch("tangent vectors live at different base points")
     return v.base
 
@@ -146,10 +155,9 @@ class SpherePoint:
     mass_deficit: float = 0.0
 
     def __post_init__(self):
-        if not (self.q > 1.0 and math.isfinite(self.q)):
-            raise InvalidExponent(f"q must lie in (1, inf), got {self.q}")
+        check_exponent(self.q)
         a = np.asarray(self.coords, dtype=float)
-        _require_finite(a, "coords")
+        _require_finite(a, "coordinate vector")
         if self.positive and not np.all(a > 0.0):
             raise NotPositive("positive flag set but a coordinate is <= 0")
         tol = membership_tol(a.size)
@@ -174,7 +182,7 @@ class SphereTangent:
         a = np.asarray(self.comps, dtype=float)
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
-        _require_finite(a, "comps")
+        _require_finite(a, "component vector")
         x, q = self.base.coords, self.base.q
         if q == 2.0:
             pairing = float(np.dot(x, a))
@@ -230,8 +238,7 @@ class SequenceSpec:
                 raise LengthMismatch(f"{a.size} coords but dim {self.dim}")
             object.__setattr__(self, "coords", _read_only(a))
         if self.normalize == "sphere":
-            if self.q is None or not (self.q > 1.0):
-                raise InvalidExponent("sphere normalization needs q in (1, inf)")
+            check_exponent(self.q)
 
     # -- raw template ------------------------------------------------------
 
@@ -289,6 +296,17 @@ class SequenceSpec:
 # ---------------------------------------------------------------------------
 
 
+def _positive_template(spec: SequenceSpec) -> np.ndarray:
+    """The spec's raw template, checked finite, not all zero and strictly positive."""
+    t = spec.template()
+    _require_finite(t, "template")
+    if not np.any(t != 0.0):
+        raise NotNormalizable(f"all-zero {spec.kind} coords")
+    if not np.all(t > 0.0):
+        raise NonPositiveCoordinate(f"{spec.kind} coords must be strictly positive")
+    return t
+
+
 def make_simplex_point(spec: SequenceSpec) -> SimplexPoint:
     """Realize a spec as a validated simplex point.
 
@@ -297,23 +315,15 @@ def make_simplex_point(spec: SequenceSpec) -> SimplexPoint:
     are scaled by their infinite total, so the truncation's coordinate sum
     is 1 minus the scaled tail, which becomes the tail_bound.
     """
-    t = spec.template()
-    _require_finite(t, "template")
-    if spec.kind == "explicit":
-        if not np.any(t != 0.0):
-            raise NotNormalizable("all-zero explicit coords")
-        if not np.all(t > 0.0):
-            raise NonPositiveCoordinate("explicit coords must be strictly positive")
-
+    t = _positive_template(spec)
     if spec.normalize == "sphere":
         raise NotNormalizable("sphere-normalized specs build sphere points, not simplex points")
 
-    if spec.normalize == "simplex":
+    # A uniform template has no tail model, so it is rescaled even without normalization.
+    if spec.normalize == "simplex" or spec.kind == "uniform":
         return SimplexPoint(t / t.sum(), tail_bound=0.0)
 
     # normalize == "none"
-    if spec.kind == "uniform":
-        return SimplexPoint(t / t.sum(), tail_bound=0.0)
     if spec.kind == "explicit":
         s = float(t.sum())
         if abs(s - 1.0) > membership_tol(t.size):
@@ -329,12 +339,7 @@ def make_sphere_point(spec: SequenceSpec) -> SpherePoint:
     """Realize a sphere-normalized spec as a unit lq-sphere point."""
     if spec.normalize != "sphere":
         raise NotNormalizable("spec does not request sphere normalization")
-    t = spec.template()
-    _require_finite(t, "template")
-    if not np.any(t != 0.0):
-        raise NotNormalizable("all-zero template")
-    if not np.all(t > 0.0):
-        raise NonPositiveCoordinate("sphere templates must be strictly positive")
+    t = _positive_template(spec)
     x = t / lq_norm(t, spec.q)
     return SpherePoint(x, q=spec.q, positive=True)
 
@@ -350,7 +355,7 @@ def make_tangent(base: SimplexPoint, raw) -> TangentVector:
     a = np.asarray(raw, dtype=float)
     if a.size != base.dim:
         raise LengthMismatch(f"raw vector has length {a.size}, base has dim {base.dim}")
-    _require_finite(a, "raw")
+    _require_finite(a, "raw vector")
     tol = membership_tol(a.size)
     if abs(float(a.sum())) <= tol:
         return TangentVector(base, a)
@@ -364,8 +369,7 @@ def make_tangent(base: SimplexPoint, raw) -> TangentVector:
 
 def lq_norm(v, q: float) -> float:
     """(sum |v_n|^q)^(1/q), scaled by the max entry for overflow safety."""
-    if not (q > 1.0 and math.isfinite(q)):
-        raise InvalidExponent(f"q must lie in (1, inf), got {q}")
+    check_exponent(q)
     a = np.abs(np.asarray(v, dtype=float))
     _require_finite(a, "vector")
     m = float(a.max()) if a.size else 0.0
@@ -398,7 +402,7 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
     not help), which lands the sum on exactly 1.0.
     """
     s = np.asarray(log_weights, dtype=float)
-    _require_finite(s, "log weights")
+    _require_finite(s, "log-weight vector")
     w = np.exp(s - s.max())
     x = w / w.sum()
     x = np.maximum(x, TINY)
@@ -430,15 +434,14 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def random_simplex_point(rng: np.random.Generator, dim: int, min_mass_ratio: float = 0.01) -> SimplexPoint:
-    """Random interior point; coordinates are kept above min_mass_ratio / dim."""
-    floor = min_mass_ratio / dim
+def random_simplex_point(rng: np.random.Generator, dim: int) -> SimplexPoint:
+    """Random interior point; coordinates are kept above 0.01 / dim."""
     for _ in range(1000):
         g = rng.gamma(2.0, size=dim)
         p = g / g.sum()
-        if p.min() > floor:
+        if p.min() > 0.01 / dim:
             return SimplexPoint(softmax_coords(np.log(p)))
-    raise NotNormalizable("could not draw an interior point; lower min_mass_ratio")
+    raise NotNormalizable(f"1000 draws at dim {dim} all had a coordinate at or below 0.01 / dim")
 
 
 def random_tangent(

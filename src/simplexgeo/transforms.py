@@ -13,13 +13,19 @@ absorbed into the metric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExponentNotTwo, InvalidExponent, NotPositive
-from .sequence_core import SimplexPoint, SpherePoint, SphereTangent, TangentVector, same_base
+from .sequence_core import (
+    SimplexPoint,
+    SpherePoint,
+    SphereTangent,
+    TangentVector,
+    check_exponent,
+    same_base,
+)
 
 
 @dataclass(frozen=True)
@@ -29,8 +35,7 @@ class RootTransform:
     q: float = 2.0
 
     def __post_init__(self):
-        if not (self.q > 1.0 and math.isfinite(self.q)):
-            raise InvalidExponent(f"q must lie in (1, inf), got {self.q}")
+        check_exponent(self.q)
 
 
 def forward(transform: RootTransform, p: SimplexPoint) -> SpherePoint:

@@ -202,6 +202,13 @@ class TestDeterminism:
         with pytest.raises(ConfigError):
             config_from_args(["flow", "--config", str(path)])
 
+    def test_config_file_cannot_set_command(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"command": "flow", "dim": 4}))
+        assert main(["isometry", "--config", str(path), "--out", str(tmp_path / "iso.json")]) == 2
+        assert capsys.readouterr().err == "config error: unknown config fields: ['command']\n"
+        assert not (tmp_path / "iso.json").exists()
+
 class TestAtomicity:
     def test_failed_replace_leaves_nothing(self, tmp_path, monkeypatch):
         target = tmp_path / "out.csv"
@@ -277,3 +284,42 @@ class TestRunConfigValidation:
         path.write_text(json.dumps({"dim": 4, "timestamp": in_config, "out_path": str(out)}))
         assert main(["isometry", "--config", str(path), *flags]) == 0
         assert ("timestamp" in json.loads(out.read_text())) == stamped
+
+
+class TestRejectedInputs:
+    """Every input the configuration or the data model rejects exits 2, before any output."""
+
+    @pytest.mark.parametrize(
+        "spec_file, argv, message",
+        [
+            ({"kind": "bogus", "dim": 4}, ["integrability", "--dim", "4", "--c", "FILE"],
+             "unknown kind 'bogus'"),
+            ({"kind": "uniform", "dim": 4, "normalize": "sphere"},
+             ["integrability", "--dim", "4", "--c", "FILE"], "q must lie in (1, inf), got None"),
+            (None, ["lp", "--dim", "2", "--c", "explicit:2,1", "--p0", "explicit:-1,2",
+                    "--tol", "1e-6"], "explicit coords must be strictly positive"),
+            (None, ["integrability", "--dim", "2", "--c", "explicit:nan,1"],
+             "objective coefficient vector contains NaN or infinity"),
+            (None, ["isometry", "--dim", "4", "--c", "bogus"], "expected uniform"),
+            (None, ["isometry", "--dim", "2", "--v0", "explicit:1,-1"], "--v0 needs --p0"),
+        ],
+        ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
+             "v0-without-p0"],
+    )
+    def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_file))
+        out = tmp_path / "out.json"
+        argv = [f"file:{path}" if a == "FILE" else a for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    def test_library_error_inside_a_body_exits_1(self, tmp_path, capsys):
+        # Valid inputs, but one RK4 step of size 1 leaves the open simplex.
+        code = main(["flow", "--dim", "2", "--c", "explicit:100,0", "--p0", "uniform",
+                     "--t-max", "1", "--dt", "1", "--method", "rk4",
+                     "--out", str(tmp_path / "flow.csv")])
+        assert code == 1
+        assert "error in simplexgeo.flows" in capsys.readouterr().err

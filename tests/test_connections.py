@@ -15,7 +15,9 @@ from simplexgeo.connections import (
 from simplexgeo.errors import (
     BaseMismatch,
     CurveDomain,
+    InvalidExponent,
     NonFiniteInput,
+    SimplexGeoError,
     StepUnderflow,
 )
 from simplexgeo.metrics import fr_geodesic
@@ -55,6 +57,13 @@ class TestDirectionalDerivative:
 
 
 class TestAlphaConnection:
+    @pytest.mark.parametrize("q", [1.0, 0.5, np.inf, np.nan])
+    def test_exponent_outside_open_interval_is_typed(self, half_half, q):
+        V = constant_field(np.array([1.0, -1.0]))
+        with pytest.raises(InvalidExponent) as err:
+            alpha_connection(V, V, half_half, q=q)
+        assert isinstance(err.value, SimplexGeoError)
+
     def test_symmetric_cancellation(self, half_half):
         V = constant_field(np.array([1.0, -1.0]))
         out = alpha_connection(V, V, half_half, q=2.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from simplexgeo.errors import (
     DimensionTooSmall,
+    InvalidExponent,
     LengthMismatch,
     NonPositiveCoordinate,
     NotNormalizable,
@@ -192,6 +193,11 @@ class TestSpecSerialization:
         assert obj["normalize"] == "sphere" and obj["q"] == 3.0
         x = make_sphere_point(spec)
         assert np.sum(np.abs(x.coords) ** 3.0) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("q", [None, 1.0, np.inf, np.nan])
+    def test_sphere_needs_exponent_in_open_interval(self, q):
+        with pytest.raises(InvalidExponent, match=r"q must lie in \(1, inf\)"):
+            SequenceSpec("uniform", 3, normalize="sphere", q=q)
 
 
 class TestSoftmaxCoords:
