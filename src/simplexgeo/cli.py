@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import checks
-from .connections import e_connection_residual, make_e_geodesic
+from .connections import EGeodesic, e_connection_residual, make_e_geodesic
 from .errors import ConfigError, ParseError, SimplexGeoError
 from .flows import (
     LinearObjective,
@@ -60,7 +60,7 @@ from .hamiltonian import (
     poisson_bracket,
     random_complex_point,
 )
-from .sequence_core import SequenceSpec, SimplexPoint, TangentVector, make_simplex_point, make_tangent
+from .sequence_core import SequenceSpec, SimplexPoint, make_simplex_point, make_tangent
 
 
 def _type_ok(value, hint) -> bool:
@@ -231,9 +231,13 @@ def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
 
 def _inputs(
     cfg: RunConfig,
-) -> tuple[LinearObjective | None, SimplexPoint | None, TangentVector | None]:
-    """Build every given spec flag, whether or not the command reads it."""
-    obj = p0 = v0 = None
+) -> tuple[LinearObjective | None, SimplexPoint | None, EGeodesic | None]:
+    """Build every given spec flag, whether or not the command reads it.
+
+    ``--v0`` is the initial velocity of the e-geodesic through ``--p0``, so
+    it is built into that geodesic, which rejects a lossy ``--p0``.
+    """
+    obj = p0 = geo = None
     if cfg.c_spec is not None:
         obj = LinearObjective(parse_sequence_spec(cfg.c_spec, cfg.dim).template())
     if cfg.p0_spec is not None:
@@ -242,7 +246,8 @@ def _inputs(
         if p0 is None:
             raise ConfigError("--v0 needs --p0, the point the velocity is attached to")
         v0 = make_tangent(p0, parse_sequence_spec(cfg.v0_spec, cfg.dim).template())
-    return obj, p0, v0
+        geo = make_e_geodesic(p0, v0)
+    return obj, p0, geo
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
@@ -270,9 +275,8 @@ def _cmd_flow(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tup
 
 
 def _cmd_geodesic(
-    cfg: RunConfig, obj: LinearObjective | None, p0: SimplexPoint, v0: TangentVector
+    cfg: RunConfig, obj: LinearObjective | None, _p0: SimplexPoint, geo: EGeodesic
 ) -> tuple[str, bool]:
-    geo = make_e_geodesic(p0, v0)
     times = _grid(cfg)
     points = tuple(geo(t) for t in times)
     values = None if obj is None else np.array([objective_value(obj, p) for p in points])

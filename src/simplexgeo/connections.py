@@ -16,7 +16,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BaseMismatch, CurveDomain, LengthMismatch, NonFiniteInput, StepUnderflow
+from .errors import (
+    BaseMismatch,
+    CurveDomain,
+    LengthMismatch,
+    LossyTruncation,
+    NonFiniteInput,
+    StepUnderflow,
+)
 from .sequence_core import (
     SimplexPoint,
     TangentVector,
@@ -186,7 +193,7 @@ def make_e_geodesic(p0: SimplexPoint, v0: TangentVector) -> EGeodesic:
     if not same_point(v0.base, p0):
         raise BaseMismatch("initial velocity is attached to a different point")
     if p0.tail_bound != 0.0:
-        raise ValueError("geodesics start from exact (tail_bound = 0) points")
+        raise LossyTruncation("geodesics start from exact (tail_bound = 0) points")
     return EGeodesic(p0, v0.comps / p0.coords)
 
 

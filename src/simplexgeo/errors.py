@@ -31,6 +31,10 @@ class NoTailModel(SimplexGeoError):
     """The sequence spec has no analytic tail, so refinement is undefined."""
 
 
+class LossyTruncation(SimplexGeoError):
+    """A truncated point has lost more of its mass than the operation accepts."""
+
+
 class NonFiniteInput(SimplexGeoError):
     """An input contains NaN or infinity."""
 

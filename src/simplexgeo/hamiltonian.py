@@ -129,6 +129,18 @@ def coordinate_hamiltonian(c, n: int) -> QuadraticHamiltonian:
 
 
 @dataclass(frozen=True)
+class Linearization:
+    """Stored first derivatives (df/dz, df/dzbar) of an observable at one point.
+
+    A bracket at z reads only these, so one record per observable serves
+    every pair at z; :func:`wirtinger` returns the arrays as stored.
+    """
+
+    dz: np.ndarray
+    dzbar: np.ndarray
+
+
+@dataclass(frozen=True)
 class CoordinateReal:
     """Observable Re z_k (registered analytic form for Wirtinger calculus)."""
 
@@ -203,8 +215,12 @@ def wirtinger(f: Callable, z, numeric: bool = False) -> tuple[np.ndarray, np.nda
     parts) get exact derivatives; anything else falls back to central
     differences treating real and imaginary parts separately.
     ``numeric=True`` forces the finite-difference path even for
-    registered forms, which is how the oracle cross-checks them.
+    registered forms, which is how the oracle cross-checks them.  A
+    :class:`Linearization` returns its stored arrays whatever ``numeric``
+    is: it was computed at z on the path the caller chose.
     """
+    if isinstance(f, Linearization):
+        return f.dz, f.dzbar
     a = _coords_of(z)
     if not numeric:
         if isinstance(f, QuadraticHamiltonian):
@@ -241,13 +257,24 @@ def poisson_bracket(f: Callable, g: Callable, z, numeric: bool = False) -> float
 
 
 def bracket_max(observables: list[Callable], z) -> tuple[float, float]:
-    """Largest |{f, g}| over pairs f before g: (analytic path, finite-difference path)."""
+    """Largest |{f, g}| over pairs f before g: (analytic path, finite-difference path).
+
+    A bracket needs only the first derivatives of f and g at z, so each
+    observable is differentiated once per path and every pair reads the
+    stored :class:`Linearization`: M observables cost M numeric gradients
+    (4N evaluations each), not one per pair.  Each pair still goes
+    through :func:`poisson_bracket`, with its imaginary-part check.
+    """
+    analytic = [Linearization(*wirtinger(f, z)) for f in observables]
+    numeric = [Linearization(*wirtinger(f, z, numeric=True)) for f in observables]
     analytic_max = 0.0
     numeric_max = 0.0
-    for k, f in enumerate(observables):
-        for g in observables[k + 1 :]:
-            analytic_max = max(analytic_max, abs(poisson_bracket(f, g, z)))
-            numeric_max = max(numeric_max, abs(poisson_bracket(f, g, z, numeric=True)))
+    for k in range(len(observables)):
+        for m in range(k + 1, len(observables)):
+            analytic_max = max(analytic_max, abs(poisson_bracket(analytic[k], analytic[m], z)))
+            numeric_max = max(
+                numeric_max, abs(poisson_bracket(numeric[k], numeric[m], z, numeric=True))
+            )
     return analytic_max, numeric_max
 
 

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     ExponentNotTwo,
     LengthMismatch,
+    LossyTruncation,
 )
 from .sequence_core import (
     SimplexPoint,
@@ -87,7 +88,7 @@ def fr_distance(p: SimplexPoint, r: SimplexPoint) -> float:
     if p.dim != r.dim:
         raise DimensionMismatch(f"dims {p.dim} and {r.dim} differ")
     if p.tail_bound != 0.0 or r.tail_bound != 0.0:
-        raise ValueError("distance requires exact (tail_bound = 0) points")
+        raise LossyTruncation("distance requires exact (tail_bound = 0) points")
     cos = float(np.sum(np.sqrt(p.coords * r.coords)))
     if cos >= 1.0 - 1e-12:
         return 0.0

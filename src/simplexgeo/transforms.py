@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentNotTwo, InvalidExponent, NotPositive
+from .errors import ExponentNotTwo, InvalidExponent, LossyTruncation, NotPositive
 from .sequence_core import (
     SimplexPoint,
     SpherePoint,
@@ -45,7 +45,7 @@ def forward(transform: RootTransform, p: SimplexPoint) -> SpherePoint:
     so lossy truncations carry their tail bound over as a mass deficit.
     """
     if p.mass() < 0.5:
-        raise ValueError(
+        raise LossyTruncation(
             f"truncation keeps only {p.mass():.3g} of the mass; refusing to lift"
         )
     x = p.coords ** (1.0 / transform.q)

@@ -302,9 +302,12 @@ class TestRejectedInputs:
              "objective coefficient vector contains NaN or infinity"),
             (None, ["isometry", "--dim", "4", "--c", "bogus"], "expected uniform"),
             (None, ["isometry", "--dim", "2", "--v0", "explicit:1,-1"], "--v0 needs --p0"),
+            ({"kind": "geometric", "dim": 4, "ratio": 0.5, "normalize": "none"},
+             ["geodesic", "--dim", "4", "--p0", "FILE", "--v0", "explicit:0.1,-0.1,0,0",
+              "--t-max", "1", "--dt", "0.1"], "geodesics start from exact (tail_bound = 0)"),
         ],
         ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
-             "v0-without-p0"],
+             "v0-without-p0", "geodesic-lossy-p0"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
         path = tmp_path / "spec.json"
@@ -315,6 +318,18 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--t-max", "1", "--dt", "0.1"],
+        ["lp", "--tol", "1e-6"],
+    ])
+    def test_lossy_point_accepted_by_flow_and_lp(self, tmp_path, argv):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "geometric", "dim": 4, "ratio": 0.5, "normalize": "none"}))
+        out = tmp_path / "out"
+        common = ["--dim", "4", "--c", "explicit:3,2,1,0", "--p0", f"file:{path}", "--out", str(out)]
+        assert main(argv + common) == 0
+        assert out.exists()
 
     def test_library_error_inside_a_body_exits_1(self, tmp_path, capsys):
         # Valid inputs, but one RK4 step of size 1 leaves the open simplex.

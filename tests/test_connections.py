@@ -16,6 +16,7 @@ from simplexgeo.errors import (
     BaseMismatch,
     CurveDomain,
     InvalidExponent,
+    LossyTruncation,
     NonFiniteInput,
     SimplexGeoError,
     StepUnderflow,
@@ -113,6 +114,11 @@ class TestEGeodesic:
         p, r = random_simplex_point(rng, 4), random_simplex_point(rng, 4)
         with pytest.raises(BaseMismatch):
             make_e_geodesic(p, random_tangent(rng, r))
+
+    def test_lossy_start_rejected(self):
+        p = SimplexPoint(np.array([0.4, 0.4]), tail_bound=0.2)
+        with pytest.raises(LossyTruncation):
+            make_e_geodesic(p, make_tangent(p, np.array([0.1, -0.1])))
 
     def test_closed_form_value(self, half_half):
         # with a=(1,-1), p_0(t) = e^{2t}/(e^{2t}+1); e^{2t}=3 at t=ln(3)/2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from simplexgeo.errors import ComplexResidue, NotNormalizable
 from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field, objective_value
@@ -9,6 +11,7 @@ from simplexgeo.hamiltonian import (
     CoordinateReal,
     ProjectivePoint,
     QuadraticHamiltonian,
+    bracket_max,
     canonical_gauge,
     coordinate_hamiltonian,
     hamiltonian_flow,
@@ -184,6 +187,65 @@ class TestPoissonBracket:
         z = random_complex_point(rng, 3)
         with pytest.raises(ComplexResidue):
             poisson_bracket(lambda w: w[0], QuadraticHamiltonian(np.ones(3)), z)
+
+
+def quartic(w) -> float:
+    """A real observable with no registered form: sum |w_n|^4."""
+    return float(np.sum(np.abs(w) ** 4))
+
+
+@pytest.fixture
+def quadratic_evals(monkeypatch):
+    """Count QuadraticHamiltonian evaluations, as the benchmark's counter does."""
+    evals = []
+    original = QuadraticHamiltonian.__call__
+
+    def counted(self, z):
+        evals.append(None)
+        return original(self, z)
+
+    monkeypatch.setattr(QuadraticHamiltonian, "__call__", counted)
+    return evals
+
+
+class TestBracketMax:
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_equals_pairwise_reference(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        z = random_complex_point(rng, n)
+        c = rng.uniform(-3.0, 3.0, n)
+        k, m = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        observables = data.draw(st.permutations([
+            QuadraticHamiltonian(c),
+            coordinate_hamiltonian(c, k),
+            coordinate_hamiltonian(c, m),
+            CoordinateReal(k),
+            CoordinateImag(m),
+            quartic,
+        ]))
+        analytic = numeric = 0.0
+        for i, f in enumerate(observables):
+            for g in observables[i + 1 :]:
+                analytic = max(analytic, abs(poisson_bracket(f, g, z)))
+                numeric = max(numeric, abs(poisson_bracket(f, g, z, numeric=True)))
+        assert bracket_max(observables, z) == (analytic, numeric)
+
+    def test_complex_observable_rejected(self):
+        z = ComplexPoint(np.ones(3) / np.sqrt(3.0))
+        with pytest.raises(ComplexResidue):
+            bracket_max([QuadraticHamiltonian(np.ones(3)), lambda w: w[0]], z)
+
+    @pytest.mark.parametrize("n, count", [(4, 3), (8, 9)])
+    def test_each_gradient_once(self, rng, quadratic_evals, n, count):
+        c = rng.uniform(0.5, 3.0, n)
+        modes = [coordinate_hamiltonian(c, k % n) for k in range(count)]
+        bracket_max(modes, random_complex_point(rng, n))
+        assert len(quadratic_evals) == count * 4 * n
+
+    def test_integrability_suite_evaluations(self, quadratic_evals):
+        n, trials = 6, 3
+        integrability_suite(np.linspace(2.0, 1.0, n), trials=trials, seed=11)
+        assert len(quadratic_evals) == trials * (n + 1) * 4 * n
 
 
 class TestHamiltonianFlow:

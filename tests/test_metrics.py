@@ -7,6 +7,7 @@ from simplexgeo.errors import (
     DimensionMismatch,
     ExponentNotTwo,
     InvalidExponent,
+    LossyTruncation,
 )
 from simplexgeo.metrics import (
     finsler_norm,
@@ -197,6 +198,12 @@ class TestFrDistance:
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             fr_distance(random_simplex_point(rng, 4), random_simplex_point(rng, 6))
+
+    def test_lossy_point_rejected(self, half_half):
+        lossy = SimplexPoint(np.array([0.4, 0.4]), tail_bound=0.2)
+        for p, r in ((lossy, half_half), (half_half, lossy)):
+            with pytest.raises(LossyTruncation):
+                fr_distance(p, r)
 
 
 class TestFrGeodesic:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simplexgeo.errors import ExponentNotTwo, InvalidExponent, NotPositive
+from simplexgeo.errors import ExponentNotTwo, InvalidExponent, LossyTruncation, NotPositive
 from simplexgeo.metrics import finsler_norm, fr_inner
 from simplexgeo.sequence_core import (
     SequenceSpec,
@@ -54,7 +54,7 @@ class TestForward:
 
     def test_lossy_truncation_rejected(self):
         p = SimplexPoint(np.array([0.2, 0.2]), tail_bound=0.6)
-        with pytest.raises(ValueError):
+        with pytest.raises(LossyTruncation):
             forward(RootTransform(2.0), p)
 
 
