@@ -1,73 +1,5 @@
 """Fisher-Rao geometry and integrable flows on truncated probability simplices."""
 
-from .connections import (
-    EGeodesic,
-    VectorField,
-    alpha_connection,
-    constant_field,
-    directional_derivative,
-    e_connection_residual,
-    e_covariant_along_curve,
-    e_geodesic_eval,
-    make_e_geodesic,
-)
-from .flows import (
-    LinearObjective,
-    LpReport,
-    Trajectory,
-    flow_closed_form,
-    flow_geodesic_correspondence,
-    flow_ode_residual,
-    flow_trajectory,
-    gradient_field,
-    gradient_vector_field,
-    integrate_rk4,
-    objective_value,
-    solve_lp,
-)
-from .hamiltonian import (
-    ComplexPoint,
-    CoordinateImag,
-    CoordinateReal,
-    ProjectivePoint,
-    QuadraticHamiltonian,
-    canonical_gauge,
-    coordinate_hamiltonian,
-    hamiltonian_flow,
-    hamiltonian_value,
-    hamiltonian_vector_field,
-    horizontal_gradient,
-    integrability_suite,
-    kahler_gradient_check,
-    momentum_s1,
-    momentum_torus,
-    poisson_bracket,
-    wirtinger,
-)
-from .metrics import (
-    MetricReport,
-    finsler_norm,
-    fr_distance,
-    fr_geodesic,
-    fr_inner,
-    fr_inner_report,
-    sphere_project,
-)
-from .sequence_core import (
-    SequenceSpec,
-    SimplexPoint,
-    SpherePoint,
-    SphereTangent,
-    TangentVector,
-    lq_norm,
-    make_simplex_point,
-    make_sphere_point,
-    make_tangent,
-    random_simplex_point,
-    random_tangent,
-    refine,
-    softmax_coords,
-)
-from .transforms import RootTransform, forward, inverse, pullback_inner, pushforward
+from . import connections, flows, hamiltonian, metrics, sequence_core, transforms
 
 __version__ = "0.1.0"

@@ -88,9 +88,8 @@ def isometry_results(rng: np.random.Generator, dim: int, qs: tuple, trials: int)
             lhs = sequence_core.lq_norm(transforms.pushforward(T, v).comps, q)
             rhs = metrics.finsler_norm(v, q) / q
             scaled = max(scaled, abs(lhs - rhs) / max(rhs, 1e-30))
-        fr = metrics.fr_inner(v, w)
-        pb = transforms.pullback_inner(transforms.RootTransform(2.0), v, w)
-        isometry = max(isometry, abs(fr - pb) / max(1.0, abs(fr)))
+        report = metrics.fr_inner_report(v, w)
+        isometry = max(isometry, report.residual_vs_pullback / max(1.0, abs(report.value)))
     return [
         _result("root transform round trip", round_trip, 1e-14),
         _result("square-root isometry residual", isometry, 1e-12),

@@ -9,8 +9,9 @@ Commands
     integrability  commuting-integrals report (JSON)
     check-all      every module's invariant suite
 
-A run validates its configuration, builds every given spec flag
-(:func:`_inputs`), runs the command body and writes one file (:func:`_emit`).
+A run validates its configuration, builds every given spec flag and the
+time grid (:func:`_inputs`), runs the command body and writes one file
+(:func:`_emit`).
 Exit status: 0 pass, 1 failure inside a body, 2 any input rejected by the
 configuration schema or the data model.
 
@@ -48,6 +49,7 @@ from .flows import (
     integrate_rk4,
     objective_value,
     solve_lp,
+    time_grid,
 )
 from .hamiltonian import (
     BRACKET_TOL,
@@ -60,7 +62,20 @@ from .hamiltonian import (
     poisson_bracket,
     random_complex_point,
 )
-from .sequence_core import SequenceSpec, SimplexPoint, make_simplex_point, make_tangent
+from .sequence_core import (
+    SequenceSpec,
+    SimplexPoint,
+    check_exponent,
+    make_simplex_point,
+    make_tangent,
+)
+
+#: Most negative step-to-step objective change a ``flow`` trajectory may show.
+FLOW_MIN_INCREMENT = -1e-12
+#: Largest l1 e-connection residual a ``geodesic`` row may show.
+GEODESIC_RESIDUAL_TOL = 1e-5
+#: Largest relative error of the fitted ``lp`` rate against the gap c_0 - c_1.
+LP_RATE_TOL = 0.05
 
 
 def _type_ok(value, hint) -> bool:
@@ -107,8 +122,7 @@ class RunConfig:
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.dim is not None and self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
-        if not (self.q > 1.0 and math.isfinite(self.q)):
-            raise ConfigError(f"q must lie in (1, inf), got {self.q}")
+        check_exponent(self.q)
         for name in ("t_max", "dt", "tol"):
             val = getattr(self, name)
             if val is not None and (not math.isfinite(val) or val <= 0.0):
@@ -231,13 +245,13 @@ def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
 
 def _inputs(
     cfg: RunConfig,
-) -> tuple[LinearObjective | None, SimplexPoint | None, EGeodesic | None]:
-    """Build every given spec flag, whether or not the command reads it.
+) -> tuple[LinearObjective | None, SimplexPoint | None, EGeodesic | None, np.ndarray | None]:
+    """Build every given spec flag and the time grid, whether or not the command reads them.
 
     ``--v0`` is the initial velocity of the e-geodesic through ``--p0``, so
     it is built into that geodesic, which rejects a lossy ``--p0``.
     """
-    obj = p0 = geo = None
+    obj = p0 = geo = times = None
     if cfg.c_spec is not None:
         obj = LinearObjective(parse_sequence_spec(cfg.c_spec, cfg.dim).template())
     if cfg.p0_spec is not None:
@@ -247,21 +261,20 @@ def _inputs(
             raise ConfigError("--v0 needs --p0, the point the velocity is attached to")
         v0 = make_tangent(p0, parse_sequence_spec(cfg.v0_spec, cfg.dim).template())
         geo = make_e_geodesic(p0, v0)
-    return obj, p0, geo
+    if cfg.t_max is not None and cfg.dt is not None:
+        times = time_grid(cfg.t_max, cfg.dt)
+    return obj, p0, geo, times
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
-    n = int(round(cfg.t_max / cfg.dt))
-    return cfg.dt * np.arange(n + 1)
-
-
-def _cmd_flow(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tuple[str, bool]:
+def _cmd_flow(
+    cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, _geo, times: np.ndarray
+) -> tuple[str, bool]:
     if cfg.method == "closed":
-        traj = flow_trajectory(obj, p0, _grid(cfg))
+        traj = flow_trajectory(obj, p0, times)
     else:
         traj = integrate_rk4(gradient_vector_field(obj), p0, cfg.t_max, cfg.dt, objective=obj)
     drops = float(np.diff(traj.objective).min()) if len(traj) > 1 else 0.0
-    passed = drops >= -1e-12
+    passed = drops >= FLOW_MIN_INCREMENT
     report = {
         "command": "flow",
         "method": cfg.method,
@@ -275,15 +288,14 @@ def _cmd_flow(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tup
 
 
 def _cmd_geodesic(
-    cfg: RunConfig, obj: LinearObjective | None, _p0: SimplexPoint, geo: EGeodesic
+    cfg: RunConfig, obj: LinearObjective | None, _p0, geo: EGeodesic, times: np.ndarray
 ) -> tuple[str, bool]:
-    times = _grid(cfg)
     points = tuple(geo(t) for t in times)
     values = None if obj is None else np.array([objective_value(obj, p) for p in points])
     residuals = np.array([float(np.abs(e_connection_residual(geo, t)).sum()) for t in times])
     traj = Trajectory(times, points, values, residuals)
     worst = float(residuals.max())
-    passed = worst <= 1e-5
+    passed = worst <= GEODESIC_RESIDUAL_TOL
     report = {
         "command": "geodesic",
         "max_residual_l1": worst,
@@ -296,7 +308,7 @@ def _cmd_geodesic(
 
 def _cmd_lp(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tuple[str, bool]:
     limit, report = solve_lp(obj, p0, cfg.tol)
-    rate_ok = report.rate_rel_err is None or report.rate_rel_err <= 0.05
+    rate_ok = report.rate_rel_err is None or report.rate_rel_err <= LP_RATE_TOL
     passed = report.converged and report.advisory is None and rate_ok
     payload = report.to_dict()
     payload["command"] = "lp"

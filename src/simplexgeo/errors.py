@@ -75,6 +75,10 @@ class PositivityLost(SimplexGeoError):
     """An integrator step left the open simplex; shrink the step size."""
 
 
+class GridTooLarge(SimplexGeoError):
+    """A time grid would have a non-finite or too large number of rows."""
+
+
 # --- hamiltonian -------------------------------------------------------------
 
 class ComplexResidue(SimplexGeoError):

@@ -23,6 +23,7 @@ import numpy as np
 from .connections import EGeodesic, VectorField, make_e_geodesic
 from .errors import (
     DimensionMismatch,
+    GridTooLarge,
     NonFiniteInput,
     NonPositiveCoordinate,
     PositivityLost,
@@ -38,6 +39,8 @@ from .sequence_core import (
 
 #: Horizon cap for the closed-form solver's doubling schedule.
 MAX_HORIZON = 1e6
+#: Most rows a time grid may have (the rows of one trajectory).
+MAX_GRID_ROWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,19 @@ def flow_ode_residual(obj: LinearObjective, p0: SimplexPoint, t: float, h: float
     return float(np.abs(fd - w).sum())
 
 
+def time_grid(t_max: float, dt: float) -> np.ndarray:
+    """Times 0, dt, ..., n dt with n = round(t_max / dt).
+
+    Raises :class:`GridTooLarge` when t_max / dt is not finite or the grid
+    would have more than ``MAX_GRID_ROWS`` rows.
+    """
+    steps = t_max / dt
+    rows = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
+    if rows > MAX_GRID_ROWS:
+        raise GridTooLarge(f"t_max / dt = {steps} asks for more than {MAX_GRID_ROWS} grid rows")
+    return dt * np.arange(rows)
+
+
 def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -> Trajectory:
     """Closed-form flow sampled on a time grid, with per-step ODE residuals."""
     times = np.asarray(times, dtype=float)
@@ -164,7 +180,7 @@ def integrate_rk4(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round(t_max / dt))
+    times = time_grid(t_max, dt)
 
     def eval_field(coords: np.ndarray) -> np.ndarray:
         try:
@@ -175,7 +191,7 @@ def integrate_rk4(
     coords = np.array(p0.coords)
     points = [p0]
     drifts = [0.0]
-    for _ in range(n_steps):
+    for _ in range(times.size - 1):
         k1 = eval_field(coords)
         k2 = eval_field(coords + 0.5 * dt * k1)
         k3 = eval_field(coords + 0.5 * dt * k2)
@@ -188,7 +204,6 @@ def integrate_rk4(
             raise PositivityLost("an RK4 step left the open simplex; shrink dt")
         points.append(SimplexPoint(coords, tail_bound=p0.tail_bound))
 
-    times = dt * np.arange(n_steps + 1)
     values = None
     if objective is not None:
         values = np.array([objective_value(objective, p) for p in points])

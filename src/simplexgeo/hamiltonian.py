@@ -116,8 +116,7 @@ class QuadraticHamiltonian:
         return self.weights.size
 
     def __call__(self, z) -> float:
-        a = _coords_of(z)
-        return float(np.sum(self.weights * np.abs(a) ** 2))
+        return hamiltonian_value(self, z)
 
 
 def coordinate_hamiltonian(c, n: int) -> QuadraticHamiltonian:

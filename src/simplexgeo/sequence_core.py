@@ -184,10 +184,7 @@ class SphereTangent:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
         _require_finite(a, "component vector")
         x, q = self.base.coords, self.base.q
-        if q == 2.0:
-            pairing = float(np.dot(x, a))
-        else:
-            pairing = float(np.sum(np.sign(x) * np.abs(x) ** (q - 1.0) * a))
+        pairing = float(np.sum(np.sign(x) * np.abs(x) ** (q - 1.0) * a))
         if abs(pairing) > membership_tol(a.size):
             raise NotNormalizable(f"tangency defect {pairing} at q={q}")
         object.__setattr__(self, "comps", _read_only(a))

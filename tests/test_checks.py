@@ -1,4 +1,4 @@
-from simplexgeo import hamiltonian
+from simplexgeo import cli, hamiltonian
 from simplexgeo.checks import check_all
 
 # The bounds check-all reports, in order.  Written out here so a loosened
@@ -39,3 +39,9 @@ def test_hamiltonian_tolerances_pinned():
     assert hamiltonian.BRACKET_TOL == 1e-8
     assert hamiltonian.CONSERVATION_TOL == 1e-10
     assert hamiltonian.CANONICAL_TOL == 1e-10
+
+
+def test_cli_verdict_bounds_pinned():
+    assert cli.FLOW_MIN_INCREMENT == -1e-12
+    assert cli.GEODESIC_RESIDUAL_TOL == 1e-5
+    assert cli.LP_RATE_TOL == 0.05

@@ -286,6 +286,9 @@ class TestRunConfigValidation:
         assert ("timestamp" in json.loads(out.read_text())) == stamped
 
 
+FLOW = ["flow", "--dim", "4", "--c", "uniform", "--p0", "uniform"]
+
+
 class TestRejectedInputs:
     """Every input the configuration or the data model rejects exits 2, before any output."""
 
@@ -305,9 +308,14 @@ class TestRejectedInputs:
             ({"kind": "geometric", "dim": 4, "ratio": 0.5, "normalize": "none"},
              ["geodesic", "--dim", "4", "--p0", "FILE", "--v0", "explicit:0.1,-0.1,0,0",
               "--t-max", "1", "--dt", "0.1"], "geodesics start from exact (tail_bound = 0)"),
+            (None, FLOW + ["--t-max", "1", "--dt", "1e-300"], "grid rows"),
+            (None, FLOW + ["--t-max", "1e300", "--dt", "1e-300"], "grid rows"),
+            (None, FLOW + ["--t-max", "1e12", "--dt", "1"], "grid rows"),
+            (None, FLOW + ["--t-max", "1e12", "--dt", "1", "--method", "rk4"], "grid rows"),
         ],
         ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
-             "v0-without-p0", "geodesic-lossy-p0"],
+             "v0-without-p0", "geodesic-lossy-p0", "grid-dt-1e-300", "grid-ratio-overflows",
+             "grid-1e12-rows", "grid-1e12-rows-rk4"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
         path = tmp_path / "spec.json"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from simplexgeo.errors import DimensionMismatch, PositivityLost
+from simplexgeo.errors import DimensionMismatch, GridTooLarge, PositivityLost
 from simplexgeo.flows import (
+    MAX_GRID_ROWS,
     LinearObjective,
     Trajectory,
     flow_closed_form,
@@ -14,6 +15,7 @@ from simplexgeo.flows import (
     integrate_rk4,
     objective_value,
     solve_lp,
+    time_grid,
 )
 from simplexgeo.metrics import fr_inner
 from simplexgeo.sequence_core import (
@@ -134,6 +136,26 @@ class TestIntegrateRk4:
         obj = LinearObjective(rng.uniform(-1, 1, size=6))
         traj = integrate_rk4(gradient_vector_field(obj), uniform(6), t_max=1.0, dt=1e-2)
         assert traj.residual_l1.max() <= 1e-12
+
+    def test_oversized_grid_rejected_before_the_first_step(self):
+        def field(p):
+            raise AssertionError("no step may run")
+
+        with pytest.raises(GridTooLarge):
+            integrate_rk4(field, uniform(4), t_max=1e12, dt=1.0)
+
+
+class TestTimeGrid:
+    def test_row_limit(self):
+        assert MAX_GRID_ROWS == 10**6
+        assert time_grid(MAX_GRID_ROWS - 1.0, 1.0).size == MAX_GRID_ROWS
+        with pytest.raises(GridTooLarge):
+            time_grid(float(MAX_GRID_ROWS), 1.0)
+
+    @pytest.mark.parametrize("t_max, dt", [(1.0, 1e-300), (1e300, 1e-300), (1e12, 1.0)])
+    def test_non_finite_or_huge_ratio_rejected(self, t_max, dt):
+        with pytest.raises(GridTooLarge):
+            time_grid(t_max, dt)
 
 
 class TestSolveLp:
