@@ -129,7 +129,7 @@ def check_metrics(dim: int, seed: int) -> list[CheckResult]:
             float(np.abs(metrics.fr_geodesic(p, r, 1.0).coords - r.coords).max()),
         )
         if k < 3:
-            quad = max(quad, abs(_geodesic_length(p, r, 1000) - metrics.fr_distance(p, r)))
+            quad = max(quad, abs(_geodesic_length(p, r) - metrics.fr_distance(p, r)))
     return [
         _result("finsler(q=2) vs 2 sqrt(fr_inner)", finsler_vs_fr, 1e-12),
         _result("fr_distance triangle defect", triangle, 1e-12),
@@ -138,17 +138,22 @@ def check_metrics(dim: int, seed: int) -> list[CheckResult]:
     ]
 
 
-def _geodesic_length(p, r, steps: int, h: float = 1e-6) -> float:
+#: Midpoint-rule nodes and central-difference step of :func:`_geodesic_length`.
+_LENGTH_NODES = 1000
+_LENGTH_STEP = 1e-6
+
+
+def _geodesic_length(p, r) -> float:
     """Midpoint-rule length of the geodesic, with finite-difference speed."""
-    ts = (np.arange(steps) + 0.5) / steps
+    n, h = _LENGTH_NODES, _LENGTH_STEP
     total = 0.0
-    for t in ts:
+    for t in (np.arange(n) + 0.5) / n:
         mid = metrics.fr_geodesic(p, r, t)
         vel = (metrics.fr_geodesic(p, r, t + h).coords - metrics.fr_geodesic(p, r, t - h).coords) / (
             2.0 * h
         )
         v = sequence_core.make_tangent(mid, vel)
-        total += np.sqrt(metrics.fr_inner(v, v)) / steps
+        total += np.sqrt(metrics.fr_inner(v, v)) / n
     return float(total)
 
 

@@ -120,8 +120,10 @@ class RunConfig:
             raise ConfigError(f"method must be 'closed' or 'rk4', got {self.method!r}")
         if self.format not in (None, "csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.dim is not None and self.dim < 2:
+        if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_exponent(self.q)
         for name in ("t_max", "dt", "tol"):
             val = getattr(self, name)
@@ -134,11 +136,9 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def parse_sequence_spec(text: str, dim: int | None = None) -> SequenceSpec:
-    """Parse a spec string; ``dim`` comes from the consuming flag."""
+def parse_sequence_spec(text: str, dim: int) -> SequenceSpec:
+    """Parse a spec string; ``dim`` comes from ``--dim``."""
     if text == "uniform":
-        if dim is None:
-            raise ParseError(text, 0, "uniform spec needs an explicit dimension")
         return SequenceSpec("uniform", dim)
     if text.startswith("geometric:"):
         arg = text[len("geometric:") :]
@@ -146,8 +146,6 @@ def parse_sequence_spec(text: str, dim: int | None = None) -> SequenceSpec:
             ratio = float(arg)
         except ValueError:
             raise ParseError(text, len("geometric:"), f"bad ratio {arg!r}") from None
-        if dim is None:
-            raise ParseError(text, 0, "geometric spec needs an explicit dimension")
         return SequenceSpec("geometric", dim, ratio=ratio)
     if text.startswith("explicit:"):
         body = text[len("explicit:") :]
@@ -159,7 +157,7 @@ def parse_sequence_spec(text: str, dim: int | None = None) -> SequenceSpec:
             except ValueError:
                 raise ParseError(text, offset, f"bad number {part!r}") from None
             offset += len(part) + 1
-        if dim is not None and dim != len(values):
+        if dim != len(values):
             raise ConfigError(f"explicit spec has {len(values)} coords but dim is {dim}")
         return SequenceSpec("explicit", len(values), coords=np.asarray(values))
     if text.startswith("file:"):
@@ -171,7 +169,7 @@ def parse_sequence_spec(text: str, dim: int | None = None) -> SequenceSpec:
             # ValueError covers non-JSON text; the others, JSON that is not a spec object.
             message = f"no spec in {path!r}: {type(exc).__name__}: {exc}"
             raise ParseError(text, len("file:"), message) from None
-        if dim is not None and spec.dim != dim:
+        if spec.dim != dim:
             raise ConfigError(f"spec file has dim {spec.dim} but dim is {dim}")
         return spec
     raise ParseError(text, 0, "expected uniform | geometric:<r> | explicit:<v,..> | file:<path>")
@@ -205,8 +203,8 @@ def _trajectory_csv(traj: Trajectory) -> str:
     rows = [header]
     for i, t in enumerate(traj.times):
         obj = traj.objective[i] if traj.objective is not None else float("nan")
-        res = traj.residual_l1[i] if traj.residual_l1 is not None else float("nan")
-        cells = [_fmt(t)] + [_fmt(x) for x in traj.points[i].coords] + [_fmt(obj), _fmt(res)]
+        cells = [_fmt(t)] + [_fmt(x) for x in traj.points[i].coords]
+        cells += [_fmt(obj), _fmt(traj.residual_l1[i])]
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
 

@@ -35,7 +35,7 @@ from .sequence_core import (
     softmax_coords,
 )
 
-#: Default finite-difference steps: fields are smooth in p, curves in t.
+#: Finite-difference steps: fields are smooth in p, curves in t.
 FIELD_STEP = 1e-5
 CURVE_STEP = 1e-3
 _STEP_FLOOR = 1e-8
@@ -61,10 +61,10 @@ class VectorField:
         return v
 
 
-def constant_field(w, label: str = "const") -> VectorField:
+def constant_field(w) -> VectorField:
     """Field assigning the same zero-sum components everywhere."""
     arr = np.asarray(w, dtype=float)
-    return VectorField(lambda p: make_tangent(p, arr), label)
+    return VectorField(lambda p: make_tangent(p, arr), "const")
 
 
 def _shift(p: SimplexPoint, v: TangentVector, h: float) -> SimplexPoint | None:
@@ -74,15 +74,15 @@ def _shift(p: SimplexPoint, v: TangentVector, h: float) -> SimplexPoint | None:
     return None
 
 
-def directional_derivative(
-    W: VectorField, p: SimplexPoint, v: TangentVector, h: float = FIELD_STEP
-) -> np.ndarray:
+def directional_derivative(W: VectorField, p: SimplexPoint, v: TangentVector) -> np.ndarray:
     """Central-difference derivative of W along the line p + t*v.
 
-    The step is halved until both p + h*v and p - h*v stay strictly
-    positive; below 1e-8 the point is declared too close to the boundary.
+    The step starts at ``FIELD_STEP`` and is halved until both p + h*v and
+    p - h*v stay strictly positive; below 1e-8 the point is declared too
+    close to the boundary.
     Returns a raw component vector, not necessarily zero-sum.
     """
+    h = FIELD_STEP
     while _shift(p, v, h) is None or _shift(p, v, -h) is None:
         h *= 0.5
         if h < _STEP_FLOOR:
@@ -92,13 +92,7 @@ def directional_derivative(
     return (W(_shift(p, v, h)).comps - W(_shift(p, v, -h)).comps) / (2.0 * h)
 
 
-def alpha_connection(
-    V: VectorField,
-    W: VectorField,
-    p: SimplexPoint,
-    q: float,
-    h: float = FIELD_STEP,
-) -> TangentVector:
+def alpha_connection(V: VectorField, W: VectorField, p: SimplexPoint, q: float) -> TangentVector:
     """Covariant derivative of W along V for the alpha = 1 - 2/q family.
 
     D_V W(p) - (1/q*) ( (V_n/p_n) W_n - (sum_k V_k W_k / p_k) p_n )
@@ -108,7 +102,7 @@ def alpha_connection(
     check_exponent(q)
     vp = V(p).comps
     wp = W(p).comps
-    d = directional_derivative(W, p, V(p), h)
+    d = directional_derivative(W, p, V(p))
     inv_qstar = (q - 1.0) / q
     weighted = vp * wp / p.coords
     raw = d - inv_qstar * (weighted - float(weighted.sum()) * p.coords)
@@ -133,35 +127,40 @@ def _eval_curve(curve: Curve, s: float) -> SimplexPoint:
 
 
 def e_covariant_along_curve(
-    curve: Curve,
-    vectors: Callable[[float], np.ndarray],
-    t: float,
-    h: float = CURVE_STEP,
+    curve: Curve, vectors: Callable[[float], np.ndarray], t: float
 ) -> np.ndarray:
     """Exponential-connection derivative of a vector family along a curve.
 
     Evaluates p_n (d/dt (W_n / p_n) - sum_k p_k d/dt (W_k / p_k)) with the
-    outer time derivative by central differences of the ratio.
+    outer time derivative by central differences of the ratio, step
+    ``CURVE_STEP``.  Raises :class:`CurveDomain` when the result is not
+    finite, e.g. when a ratio overflows against a flushed coordinate.
     """
+    h = CURVE_STEP
     p_t = _eval_curve(curve, t).coords
-    ratio_plus = vectors(t + h) / _eval_curve(curve, t + h).coords
-    ratio_minus = vectors(t - h) / _eval_curve(curve, t - h).coords
-    dg = (ratio_plus - ratio_minus) / (2.0 * h)
-    return p_t * (dg - float(np.dot(p_t, dg)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio_plus = vectors(t + h) / _eval_curve(curve, t + h).coords
+        ratio_minus = vectors(t - h) / _eval_curve(curve, t - h).coords
+        dg = (ratio_plus - ratio_minus) / (2.0 * h)
+        out = p_t * (dg - float(np.dot(p_t, dg)))
+    if not np.all(np.isfinite(out)):
+        raise CurveDomain(f"e-connection derivative is not finite at t = {t}")
+    return out
 
 
-def e_connection_residual(curve: Curve, t: float, h: float = CURVE_STEP) -> np.ndarray:
+def e_connection_residual(curve: Curve, t: float) -> np.ndarray:
     """Geodesic-equation defect of a curve at time t.
 
     Near zero exactly when the curve is an exponential geodesic.  The
     velocity is itself a central difference, so the curve must be defined
-    and positive on [t - 2h, t + 2h].
+    and positive on [t - 2h, t + 2h] with h = ``CURVE_STEP``.
     """
+    h = CURVE_STEP
 
     def velocity(s: float) -> np.ndarray:
         return (_eval_curve(curve, s + h).coords - _eval_curve(curve, s - h).coords) / (2.0 * h)
 
-    return e_covariant_along_curve(curve, velocity, t, h)
+    return e_covariant_along_curve(curve, velocity, t)
 
 
 @dataclass(frozen=True)

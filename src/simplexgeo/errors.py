@@ -75,6 +75,10 @@ class PositivityLost(SimplexGeoError):
     """An integrator step left the open simplex; shrink the step size."""
 
 
+class InvalidGrid(SimplexGeoError):
+    """A time grid was asked for with a non-positive step or a negative horizon."""
+
+
 class GridTooLarge(SimplexGeoError):
     """A time grid would have a non-finite or too large number of rows."""
 

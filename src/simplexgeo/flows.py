@@ -24,6 +24,7 @@ from .connections import EGeodesic, VectorField, make_e_geodesic
 from .errors import (
     DimensionMismatch,
     GridTooLarge,
+    InvalidGrid,
     NonFiniteInput,
     NonPositiveCoordinate,
     PositivityLost,
@@ -41,6 +42,8 @@ from .sequence_core import (
 MAX_HORIZON = 1e6
 #: Most rows a time grid may have (the rows of one trajectory).
 MAX_GRID_ROWS = 10**6
+#: Central-difference step in t of the flow's ODE residual.
+RESIDUAL_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,12 @@ class LinearObjective:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped points with per-step diagnostics."""
+    """Time-stamped points with per-step diagnostics; ``objective`` may be None."""
 
     times: np.ndarray
     points: tuple[SimplexPoint, ...]
-    objective: np.ndarray | None = None
-    residual_l1: np.ndarray | None = None
+    objective: np.ndarray | None
+    residual_l1: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -129,8 +132,9 @@ def flow_closed_form(obj: LinearObjective, p0: SimplexPoint, t: float) -> Simple
     return SimplexPoint(softmax_coords(np.log(p0.coords) + obj.c * t))
 
 
-def flow_ode_residual(obj: LinearObjective, p0: SimplexPoint, t: float, h: float = 1e-4) -> float:
+def flow_ode_residual(obj: LinearObjective, p0: SimplexPoint, t: float) -> float:
     """l1 defect between the flow's finite-difference velocity and the field."""
+    h = RESIDUAL_STEP
     plus = flow_closed_form(obj, p0, t + h).coords
     minus = flow_closed_form(obj, p0, t - h).coords
     fd = (plus - minus) / (2.0 * h)
@@ -141,9 +145,12 @@ def flow_ode_residual(obj: LinearObjective, p0: SimplexPoint, t: float, h: float
 def time_grid(t_max: float, dt: float) -> np.ndarray:
     """Times 0, dt, ..., n dt with n = round(t_max / dt).
 
-    Raises :class:`GridTooLarge` when t_max / dt is not finite or the grid
-    would have more than ``MAX_GRID_ROWS`` rows.
+    Raises :class:`InvalidGrid` unless 0 < dt < inf and t_max >= 0 (NaN
+    fails both), and :class:`GridTooLarge` when t_max / dt is not finite or
+    the grid would have more than ``MAX_GRID_ROWS`` rows.
     """
+    if not (0.0 < dt < math.inf and t_max >= 0.0):
+        raise InvalidGrid(f"time grid needs 0 < dt < inf and t_max >= 0, got {t_max}, {dt}")
     steps = t_max / dt
     rows = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
     if rows > MAX_GRID_ROWS:
@@ -178,8 +185,6 @@ def integrate_rk4(
     is recorded) and positivity-checked; a step that leaves the open
     simplex raises :class:`PositivityLost` so the caller can shrink dt.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     times = time_grid(t_max, dt)
 
     def eval_field(coords: np.ndarray) -> np.ndarray:

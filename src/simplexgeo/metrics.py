@@ -37,7 +37,6 @@ class MetricReport:
 
     value: float
     residual_vs_pullback: float
-    at: SimplexPoint
 
     def __post_init__(self):
         if self.residual_vs_pullback < 0.0:
@@ -54,7 +53,7 @@ def fr_inner_report(v: TangentVector, w: TangentVector) -> MetricReport:
     """Pair ``fr_inner`` with its residual against the sphere pullback."""
     value = fr_inner(v, w)
     other = pullback_inner(RootTransform(2.0), v, w)
-    return MetricReport(value=value, residual_vs_pullback=abs(value - other), at=v.base)
+    return MetricReport(value=value, residual_vs_pullback=abs(value - other))
 
 
 def finsler_norm(v: TangentVector, q: float) -> float:

@@ -122,11 +122,6 @@ class TangentVector:
     def dim(self) -> int:
         return self.comps.size
 
-    def weighted_l2(self) -> float:
-        """l2 norm of comps_n / sqrt(base_n); finite at any fixed N, tracked
-        so refinement tests can watch it stay bounded as N grows."""
-        return float(np.linalg.norm(self.comps / np.sqrt(self.base.coords)))
-
 
 def same_point(p: SimplexPoint, r: SimplexPoint) -> bool:
     """Whether p and r are one point: equal coordinates and equal tail bound."""
@@ -199,7 +194,7 @@ class SphereTangent:
 # ---------------------------------------------------------------------------
 
 _KINDS = ("uniform", "geometric", "explicit")
-_NORMALIZATIONS = ("simplex", "sphere", "none")
+_NORMALIZATIONS = ("simplex", "none")
 
 
 @dataclass(frozen=True)
@@ -215,7 +210,6 @@ class SequenceSpec:
     ratio: float | None = None
     coords: np.ndarray | None = None
     normalize: str = "simplex"
-    q: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -234,8 +228,6 @@ class SequenceSpec:
             if a.size != self.dim:
                 raise LengthMismatch(f"{a.size} coords but dim {self.dim}")
             object.__setattr__(self, "coords", _read_only(a))
-        if self.normalize == "sphere":
-            check_exponent(self.q)
 
     # -- raw template ------------------------------------------------------
 
@@ -263,17 +255,7 @@ class SequenceSpec:
             return 1.0 / (1.0 - self.ratio)
         raise NoTailModel(f"{self.kind} templates are not summable")
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "dim": self.dim, "normalize": self.normalize}
-        if self.ratio is not None:
-            out["ratio"] = self.ratio
-        if self.coords is not None:
-            out["coords"] = [float(x) for x in self.coords]
-        if self.q is not None:
-            out["q"] = self.q
-        return out
+    # -- JSON form (``file:`` specs) ---------------------------------------
 
     @classmethod
     def from_json(cls, obj: dict) -> "SequenceSpec":
@@ -284,24 +266,12 @@ class SequenceSpec:
             ratio=obj.get("ratio"),
             coords=None if coords is None else np.asarray(coords, dtype=float),
             normalize=obj.get("normalize", "simplex"),
-            q=obj.get("q"),
         )
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def _positive_template(spec: SequenceSpec) -> np.ndarray:
-    """The spec's raw template, checked finite, not all zero and strictly positive."""
-    t = spec.template()
-    _require_finite(t, "template")
-    if not np.any(t != 0.0):
-        raise NotNormalizable(f"all-zero {spec.kind} coords")
-    if not np.all(t > 0.0):
-        raise NonPositiveCoordinate(f"{spec.kind} coords must be strictly positive")
-    return t
 
 
 def make_simplex_point(spec: SequenceSpec) -> SimplexPoint:
@@ -312,10 +282,12 @@ def make_simplex_point(spec: SequenceSpec) -> SimplexPoint:
     are scaled by their infinite total, so the truncation's coordinate sum
     is 1 minus the scaled tail, which becomes the tail_bound.
     """
-    t = _positive_template(spec)
-    if spec.normalize == "sphere":
-        raise NotNormalizable("sphere-normalized specs build sphere points, not simplex points")
-
+    t = spec.template()
+    _require_finite(t, "template")
+    if not np.any(t != 0.0):
+        raise NotNormalizable(f"all-zero {spec.kind} coords")
+    if not np.all(t > 0.0):
+        raise NonPositiveCoordinate(f"{spec.kind} coords must be strictly positive")
     # A uniform template has no tail model, so it is rescaled even without normalization.
     if spec.normalize == "simplex" or spec.kind == "uniform":
         return SimplexPoint(t / t.sum(), tail_bound=0.0)
@@ -330,15 +302,6 @@ def make_simplex_point(spec: SequenceSpec) -> SimplexPoint:
         return SimplexPoint(t, tail_bound=0.0)
     total = spec.infinite_total()
     return SimplexPoint(t / total, tail_bound=spec.tail_sum(spec.dim) / total)
-
-
-def make_sphere_point(spec: SequenceSpec) -> SpherePoint:
-    """Realize a sphere-normalized spec as a unit lq-sphere point."""
-    if spec.normalize != "sphere":
-        raise NotNormalizable("spec does not request sphere normalization")
-    t = _positive_template(spec)
-    x = t / lq_norm(t, spec.q)
-    return SpherePoint(x, q=spec.q, positive=True)
 
 
 def make_tangent(base: SimplexPoint, raw) -> TangentVector:
@@ -442,13 +405,10 @@ def random_simplex_point(rng: np.random.Generator, dim: int) -> SimplexPoint:
 
 
 def random_tangent(
-    rng: np.random.Generator,
-    base: SimplexPoint,
-    scale: float = 1.0,
-    max_ratio: float | None = None,
+    rng: np.random.Generator, base: SimplexPoint, max_ratio: float | None = None
 ) -> TangentVector:
     """Random zero-sum vector at ``base``; optionally cap max |v_n / p_n|."""
-    v = make_tangent(base, scale * rng.standard_normal(base.dim))
+    v = make_tangent(base, rng.standard_normal(base.dim))
     if max_ratio is not None:
         r = float(np.max(np.abs(v.comps) / base.coords))
         if r > max_ratio:

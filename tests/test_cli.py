@@ -29,7 +29,7 @@ class TestParseSequenceSpec:
             parse_sequence_spec("geometric:1.5", dim=4)
 
     def test_explicit(self):
-        spec = parse_sequence_spec("explicit:0.25,0.75")
+        spec = parse_sequence_spec("explicit:0.25,0.75", dim=2)
         np.testing.assert_array_equal(spec.coords, [0.25, 0.75])
 
     def test_parse_error_carries_position(self):
@@ -115,6 +115,17 @@ class TestOtherCommands:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 22
+
+    def test_geodesic_overflowing_residual_is_an_error(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "geo.csv"
+        code = main(["geodesic", "--dim", "3", "--p0", "uniform",
+                     "--v0", "explicit:1e6,-5e5,-5e5", "--t-max", "1", "--dt", "0.5",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in simplexgeo.connections" in err and "not finite" in err
+        assert not recwarn.list
+        assert not out.exists()
 
     def test_lp_converges(self, tmp_path):
         out = tmp_path / "lp.json"
@@ -298,7 +309,7 @@ class TestRejectedInputs:
             ({"kind": "bogus", "dim": 4}, ["integrability", "--dim", "4", "--c", "FILE"],
              "unknown kind 'bogus'"),
             ({"kind": "uniform", "dim": 4, "normalize": "sphere"},
-             ["integrability", "--dim", "4", "--c", "FILE"], "q must lie in (1, inf), got None"),
+             ["integrability", "--dim", "4", "--c", "FILE"], "unknown normalization 'sphere'"),
             (None, ["lp", "--dim", "2", "--c", "explicit:2,1", "--p0", "explicit:-1,2",
                     "--tol", "1e-6"], "explicit coords must be strictly positive"),
             (None, ["integrability", "--dim", "2", "--c", "explicit:nan,1"],
@@ -338,6 +349,25 @@ class TestRejectedInputs:
         common = ["--dim", "4", "--c", "explicit:3,2,1,0", "--p0", f"file:{path}", "--out", str(out)]
         assert main(argv + common) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["bracket", "--dim", "4"],
+        ["isometry", "--dim", "4"],
+        ["integrability", "--dim", "4", "--c", "uniform"],
+        ["check-all", "--dim", "4"],
+    ])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch, command, source):
+        out = tmp_path / "out.json"
+        argv = command + ["--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("SIMPLEXGEO_SEED", "-4")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed must be >= 0" in err
+        assert not out.exists()
 
     def test_library_error_inside_a_body_exits_1(self, tmp_path, capsys):
         # Valid inputs, but one RK4 step of size 1 leaves the open simplex.

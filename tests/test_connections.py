@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from simplexgeo.connections import (
+    CURVE_STEP,
     EGeodesic,
     VectorField,
     alpha_connection,
@@ -173,16 +174,16 @@ class TestEConnectionResidual:
             v0 = random_tangent(rng, p0, max_ratio=0.5)
             geo = make_e_geodesic(p0, v0)
             t = float(rng.uniform(-0.5, 0.5))
-            assert np.abs(e_connection_residual(geo, t, h=1e-3)).max() <= 1e-6
+            assert np.abs(e_connection_residual(geo, t)).max() <= 1e-6
 
     def test_fisher_rao_geodesic_is_not_e_geodesic(self, half_half):
         r = SimplexPoint(np.array([0.9, 0.1]))
-        residual = e_connection_residual(lambda t: fr_geodesic(half_half, r, t), 0.5, h=1e-3)
+        residual = e_connection_residual(lambda t: fr_geodesic(half_half, r, t), 0.5)
         assert np.abs(residual).max() > 1e-2
 
     def test_constant_curve(self, rng):
         p = random_simplex_point(rng, 5)
-        residual = e_connection_residual(lambda t: p, 0.0, h=1e-3)
+        residual = e_connection_residual(lambda t: p, 0.0)
         np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
     def test_curve_domain_error(self, half_half):
@@ -192,7 +193,16 @@ class TestEConnectionResidual:
             return half_half
 
         with pytest.raises(CurveDomain):
-            e_connection_residual(broken, 0.1, h=0.05)
+            e_connection_residual(broken, 0.1)
+
+    def test_overflowing_defect_is_typed(self, recwarn):
+        # Exponents of order 1e6 flush coordinates to TINY within one step,
+        # and the velocity divided by them overflows.
+        p0 = SimplexPoint(np.full(3, 1.0 / 3.0))
+        geo = EGeodesic(p0, np.array([3e6, -1.5e6, -1.5e6]))
+        with pytest.raises(CurveDomain, match="not finite"):
+            e_connection_residual(geo, 0.0)
+        assert not recwarn.list
 
 
 class TestLeibnizRule:
@@ -204,13 +214,13 @@ class TestLeibnizRule:
             p0 = random_simplex_point(rng, dim)
             geo = make_e_geodesic(p0, random_tangent(rng, p0, max_ratio=0.5))
             w0 = random_tangent(rng, p0).comps
-            h, t = 1e-3, 0.2
+            h, t = CURVE_STEP, 0.2
 
             def f(s):
                 return float(geo(s).coords[0])
 
-            lhs = e_covariant_along_curve(geo, lambda s: f(s) * w0, t, h)
+            lhs = e_covariant_along_curve(geo, lambda s: f(s) * w0, t)
             df = (f(t + h) - f(t - h)) / (2.0 * h)
-            nabla_w = e_covariant_along_curve(geo, lambda s: w0, t, h)
+            nabla_w = e_covariant_along_curve(geo, lambda s: w0, t)
             rhs = df * w0 + f(t) * nabla_w
             np.testing.assert_allclose(lhs, rhs, atol=2e-6)

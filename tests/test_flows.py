@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from simplexgeo.errors import DimensionMismatch, GridTooLarge, PositivityLost
+from simplexgeo.errors import (
+    DimensionMismatch,
+    GridTooLarge,
+    InvalidGrid,
+    PositivityLost,
+    SimplexGeoError,
+)
 from simplexgeo.flows import (
     MAX_GRID_ROWS,
     LinearObjective,
@@ -105,7 +111,7 @@ class TestFlowClosedForm:
             obj = LinearObjective(rng.uniform(-1.0, 1.0, size=dim))
             p0 = random_simplex_point(rng, dim)
             t = float(rng.uniform(0.0, 3.0))
-            assert flow_ode_residual(obj, p0, t, h=1e-4) <= 1e-6
+            assert flow_ode_residual(obj, p0, t) <= 1e-6
 
     def test_objective_monotone(self, rng):
         obj = LinearObjective(rng.standard_normal(8))
@@ -144,6 +150,14 @@ class TestIntegrateRk4:
         with pytest.raises(GridTooLarge):
             integrate_rk4(field, uniform(4), t_max=1e12, dt=1.0)
 
+    @pytest.mark.parametrize("t_max, dt", [(-1.0, 0.1), (1.0, 0.0), (1.0, -0.1)])
+    def test_invalid_grid_rejected_before_the_first_step(self, t_max, dt):
+        def field(p):
+            raise AssertionError("no step may run")
+
+        with pytest.raises(InvalidGrid):
+            integrate_rk4(field, uniform(4), t_max=t_max, dt=dt)
+
 
 class TestTimeGrid:
     def test_row_limit(self):
@@ -156,6 +170,19 @@ class TestTimeGrid:
     def test_non_finite_or_huge_ratio_rejected(self, t_max, dt):
         with pytest.raises(GridTooLarge):
             time_grid(t_max, dt)
+
+    @pytest.mark.parametrize(
+        "t_max, dt",
+        [(-1.0, 0.1), (-1.0, -0.1), (1.0, 0.0), (1.0, -0.1), (1.0, np.nan), (np.nan, 0.1),
+         (1.0, np.inf)],
+    )
+    def test_step_and_horizon_rule(self, t_max, dt):
+        with pytest.raises(InvalidGrid) as err:
+            time_grid(t_max, dt)
+        assert isinstance(err.value, SimplexGeoError)
+
+    def test_zero_horizon_is_one_row(self):
+        np.testing.assert_array_equal(time_grid(0.0, 0.1), [0.0])
 
 
 class TestSolveLp:
@@ -213,8 +240,8 @@ class TestFlowGeodesicCorrespondence:
 class TestTrajectory:
     def test_length_agreement_enforced(self, half_half):
         with pytest.raises(DimensionMismatch):
-            Trajectory(np.array([0.0, 1.0]), (half_half,))
+            Trajectory(np.array([0.0, 1.0]), (half_half,), None, np.zeros(2))
 
     def test_times_strictly_increasing(self, half_half):
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), (half_half, half_half))
+            Trajectory(np.array([0.0, 0.0]), (half_half, half_half), None, np.zeros(2))

@@ -1,28 +1,30 @@
-"""The benchmark tracer finds every function and method it wraps.
+"""The benchmark's tracer and its pinned call counts hold for today's code.
 
 ``perfbench/tracing.py`` looks each traced name up on its home module, so a
-deleted or renamed function would break traced benchmark runs.  This test
-reads the tracer's tables and leaves the file unchanged.
+deleted or renamed function would break traced benchmark runs, and each
+``Command.expect`` in ``perfbench/workloads.py`` pins a call count of the
+code.  These tests load both files without changing them.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-import simplexgeo.cli  # noqa: F401 - loads every module the tracer patches
+import simplexgeo.cli
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_wraps_every_traced_name_and_restores_it():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     home = {module: sys.modules[f"simplexgeo.{module}"] for module in tracing.TRACED}
     functions = {
         (module, name): getattr(home[module], name)
@@ -50,3 +52,29 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
         assert getattr(home[module], name) is original, f"{module}.{name}"
     for metric, (cls, method) in classes.items():
         assert cls.__dict__[method] is methods[metric], metric
+
+
+def _smoke_commands(tmp_path):
+    workloads = _load("workloads")
+    cmds = []
+    for name in ("trajectory", "integrability", "check-all"):
+        cmds += workloads.build(name, 3, str(tmp_path / name), smoke=True)
+    # One check-all command stands for the four; the isometry command pins no count.
+    first_check_all = next(c for c in cmds if c.argv[0] == "check-all")
+    return [c for c in cmds if c.argv[0] not in ("check-all", "isometry")] + [first_check_all]
+
+
+def test_workload_counts_match_the_code(tmp_path):
+    tracing = _load("tracing")
+    cmds = _smoke_commands(tmp_path)
+    assert sum(len(c.expect) for c in cmds) == 5
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for cmd in cmds:
+            lo = len(tracer.spans)
+            assert simplexgeo.cli.main(list(cmd.argv)) == 0, cmd.line
+            for (name, ancestor), want in cmd.expect.items():
+                assert tracer.count(name, ancestor, lo) == want, (cmd.line, name)
+    finally:
+        tracer.uninstall()
