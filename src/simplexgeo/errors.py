@@ -39,6 +39,10 @@ class NonFiniteInput(SimplexGeoError):
     """An input contains NaN or infinity."""
 
 
+class InvalidParameter(SimplexGeoError):
+    """A scalar or list argument lies outside its documented range."""
+
+
 # --- transforms and metrics --------------------------------------------------
 
 class NotPositive(SimplexGeoError):

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     GridTooLarge,
     InvalidGrid,
+    InvalidParameter,
     NonFiniteInput,
     NonPositiveCoordinate,
     PositivityLost,
@@ -86,8 +87,8 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         if len(self.points) != t.size:
             raise DimensionMismatch(f"{len(self.points)} points for {t.size} times")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
-            raise ValueError("times must be strictly increasing")
+        if t.size > 1 and not (np.diff(t) > 0.0).all():
+            raise InvalidGrid("times must be strictly increasing")
         for name in ("objective", "residual_l1"):
             col = getattr(self, name)
             if col is not None and np.asarray(col).size != t.size:
@@ -187,27 +188,28 @@ def integrate_rk4(
     """
     times = time_grid(t_max, dt)
 
-    def eval_field(coords: np.ndarray) -> np.ndarray:
-        try:
-            return field_fn(SimplexPoint(coords, tail_bound=p0.tail_bound)).comps
-        except NonPositiveCoordinate as exc:
-            raise PositivityLost("an RK4 stage left the open simplex; shrink dt") from exc
-
-    coords = np.array(p0.coords)
+    tail = p0.tail_bound
+    point = p0
     points = [p0]
     drifts = [0.0]
     for _ in range(times.size - 1):
-        k1 = eval_field(coords)
-        k2 = eval_field(coords + 0.5 * dt * k1)
-        k3 = eval_field(coords + 0.5 * dt * k2)
-        k4 = eval_field(coords + dt * k3)
+        # k1 is taken at the accepted point itself; only the three inner stages build points.
+        coords = point.coords
+        try:
+            k1 = field_fn(point).comps
+            k2 = field_fn(SimplexPoint(coords + 0.5 * dt * k1, tail_bound=tail)).comps
+            k3 = field_fn(SimplexPoint(coords + 0.5 * dt * k2, tail_bound=tail)).comps
+            k4 = field_fn(SimplexPoint(coords + dt * k3, tail_bound=tail)).comps
+        except NonPositiveCoordinate as exc:
+            raise PositivityLost("an RK4 stage left the open simplex; shrink dt") from exc
         coords = coords + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = float(coords.sum())
         drifts.append(abs(1.0 - s))
         coords = coords / s
-        if not np.all(coords > 0.0):
+        if not (coords > 0.0).all():
             raise PositivityLost("an RK4 step left the open simplex; shrink dt")
-        points.append(SimplexPoint(coords, tail_bound=p0.tail_bound))
+        point = SimplexPoint(coords, tail_bound=tail)
+        points.append(point)
 
     values = None
     if objective is not None:
@@ -292,7 +294,7 @@ def solve_lp(
     the report carries an advisory since the limit may sit on a face.
     """
     if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise InvalidParameter(f"tol must be positive, got {tol}")
     advisory = None
     if not obj.strictly_decreasing:
         advisory = (

@@ -19,7 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ComplexResidue, DimensionMismatch, NonFiniteInput, NotNormalizable
+from .errors import (
+    ComplexResidue,
+    DimensionMismatch,
+    InvalidParameter,
+    NonFiniteInput,
+    NotNormalizable,
+)
 from .sequence_core import _read_only, _require_finite, membership_tol
 
 #: Central-difference step for numeric Wirtinger derivatives.
@@ -345,7 +351,7 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     """
     c = np.asarray(c, dtype=float)
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InvalidParameter(f"trials must be >= 1, got {trials}")
     n = c.size
     h_full = QuadraticHamiltonian(c)
     h_modes = [coordinate_hamiltonian(c, k) for k in range(n)]

@@ -16,6 +16,7 @@ from .errors import (
     DegenerateEndpoints,
     DimensionMismatch,
     ExponentNotTwo,
+    InvalidParameter,
     LengthMismatch,
     LossyTruncation,
 )
@@ -26,6 +27,7 @@ from .sequence_core import (
     TangentVector,
     check_exponent,
     lq_norm,
+    membership_tol,
     same_base,
 )
 from .transforms import RootTransform, pullback_inner
@@ -40,7 +42,7 @@ class MetricReport:
 
     def __post_init__(self):
         if self.residual_vs_pullback < 0.0:
-            raise ValueError("residual must be nonnegative")
+            raise InvalidParameter("residual must be nonnegative")
 
 
 def fr_inner(v: TangentVector, w: TangentVector) -> float:
@@ -99,13 +101,30 @@ def fr_geodesic(p: SimplexPoint, r: SimplexPoint, t: float) -> SimplexPoint:
 
     Realized as the great-circle arc between the square roots, squared
     back; both roots are positive, so every intermediate point for
-    t in [0, 1] stays in the open simplex.
+    t in [0, 1] stays in the open simplex.  The one-row case of
+    :func:`fr_geodesic_block`.
+    """
+    return SimplexPoint(fr_geodesic_block(p, r, [t])[0])
+
+
+def fr_geodesic_block(p: SimplexPoint, r: SimplexPoint, ts: np.ndarray) -> np.ndarray:
+    """Coordinates of the geodesic from p to r at each parameter of the 1-D ``ts``, as (T, N) rows.
+
+    Every row is checked by :class:`SimplexPoint`'s rule: the block's
+    minimum and each row's sum settle the common case; otherwise the rows
+    are built as points in order, so the first bad row raises its own error.
     """
     theta = fr_distance(p, r)
     if theta == 0.0:
         raise DegenerateEndpoints("geodesic endpoints coincide")
+    ts = np.asarray(ts, dtype=float)[:, None]
     a = np.sqrt(p.coords)
     b = np.sqrt(r.coords)
-    arc = (np.sin((1.0 - t) * theta) * a + np.sin(t * theta) * b) / np.sin(theta)
-    coords = arc**2
-    return SimplexPoint(coords / coords.sum())
+    arc = (np.sin((1.0 - ts) * theta) * a + np.sin(ts * theta) * b) / np.sin(theta)
+    rows = arc**2
+    rows /= rows.sum(axis=1, keepdims=True)
+    sums = rows.sum(axis=1)
+    if not (rows.min(initial=np.inf) > 0.0 and (np.abs(sums - 1.0) <= membership_tol(p.dim)).all()):
+        for row in rows:
+            SimplexPoint(row)
+    return rows

@@ -19,6 +19,7 @@ from .errors import (
     BaseMismatch,
     DimensionTooSmall,
     InvalidExponent,
+    InvalidParameter,
     LengthMismatch,
     NonFiniteInput,
     NonPositiveCoordinate,
@@ -44,7 +45,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteInput(f"{what} contains NaN or infinity")
 
 
@@ -78,13 +79,15 @@ class SimplexPoint:
             raise DimensionTooSmall("coords must be a one-dimensional vector")
         if a.size < 2:
             raise DimensionTooSmall(f"need at least 2 coordinates, got {a.size}")
-        _require_finite(a, "coordinate vector")
-        if not np.all(a > 0.0):
-            raise NonPositiveCoordinate("simplex coordinates must be strictly positive")
+        s = float(a.sum())
+        # A finite sum has finite terms, so with a positive minimum it settles both checks.
+        if not (math.isfinite(s) and a.min() > 0.0):
+            _require_finite(a, "coordinate vector")
+            if not (a > 0.0).all():
+                raise NonPositiveCoordinate("simplex coordinates must be strictly positive")
         if not (self.tail_bound >= 0.0 and math.isfinite(self.tail_bound)):
             raise NotNormalizable(f"tail bound must be finite and >= 0, got {self.tail_bound}")
         tol = membership_tol(a.size)
-        s = float(a.sum())
         if self.tail_bound == 0.0:
             if abs(s - 1.0) > tol:
                 raise NotNormalizable(f"coordinates sum to {s}, expected 1")
@@ -113,8 +116,10 @@ class TangentVector:
         a = np.asarray(self.comps, dtype=float)
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
-        _require_finite(a, "component vector")
-        if abs(float(a.sum())) > membership_tol(a.size):
+        s = float(a.sum())
+        if not math.isfinite(s):
+            _require_finite(a, "component vector")
+        if abs(s) > membership_tol(a.size):
             raise NotNormalizable(f"tangent components sum to {a.sum()}, expected 0")
         object.__setattr__(self, "comps", _read_only(a))
 
@@ -315,16 +320,33 @@ def make_tangent(base: SimplexPoint, raw) -> TangentVector:
     a = np.asarray(raw, dtype=float)
     if a.size != base.dim:
         raise LengthMismatch(f"raw vector has length {a.size}, base has dim {base.dim}")
+    # Raw vectors come from outside (the CLI's --v0), so finiteness is checked
+    # before the sum: a sum over both infinities would raise numpy's RuntimeWarning.
     _require_finite(a, "raw vector")
+    s = float(a.sum())
     tol = membership_tol(a.size)
-    if abs(float(a.sum())) <= tol:
+    if abs(s) <= tol:
         return TangentVector(base, a)
-    comps = a - a.sum() / a.size
-    for _ in range(4):
-        if abs(float(comps.sum())) <= tol:
+    return TangentVector(base, zero_sum_rows(a.reshape(1, -1), tol).reshape(a.shape))
+
+
+def zero_sum_rows(raw: np.ndarray, tol: float) -> np.ndarray:
+    """Project each row of a (T, N) block as :func:`make_tangent` projects a vector.
+
+    A row whose sum is within ``tol`` is kept bit for bit; any other has
+    its mean subtracted, again while its sum stays above ``tol``, at most
+    five times.  Returns a new array; nothing is validated.
+    """
+    rows = np.array(raw, dtype=float)
+    s = rows.sum(axis=1)
+    todo = np.abs(s) > tol
+    for _ in range(5):
+        if not todo.any():
             break
-        comps = comps - comps.sum() / comps.size
-    return TangentVector(base, comps)
+        rows[todo] -= (s[todo] / rows.shape[1])[:, None]
+        s = rows.sum(axis=1)
+        todo &= np.abs(s) > tol
+    return rows
 
 
 def lq_norm(v, q: float) -> float:
@@ -341,7 +363,7 @@ def lq_norm(v, q: float) -> float:
 def refine(spec: SequenceSpec, dims: list[int]) -> list[SimplexPoint]:
     """Truncations of one spec at increasing lengths, for Cauchy-in-N tests."""
     if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError(f"dims must be strictly increasing, got {list(dims)}")
+        raise InvalidParameter(f"dims must be strictly increasing, got {list(dims)}")
     if not spec.has_tail_model:
         raise NoTailModel(f"{spec.kind} specs have no analytic tail")
     return [make_simplex_point(replace(spec, dim=int(n))) for n in dims]

@@ -1,5 +1,5 @@
 from simplexgeo import cli, hamiltonian
-from simplexgeo.checks import check_all
+from simplexgeo.checks import check_all, check_hamiltonian
 
 # The bounds check-all reports, in order.  Written out here so a loosened
 # bound in the code fails this test instead of passing unnoticed.
@@ -33,6 +33,22 @@ def test_check_all_bounds_pinned():
     results = check_all(4, 0)
     assert [(r.name, r.threshold) for r in results] == CHECK_ALL_BOUNDS
     assert all(r.passed for r in results)
+
+
+def test_bracket_result_reads_the_suite_verdict(monkeypatch):
+    # Below BRACKET_TOL but failed by the suite (e.g. a nonzero analytic bracket).
+    def failed_suite(c, trials, seed):
+        return {
+            "brackets_max_abs": 1e-12,
+            "conservation_max_drift": 0.0,
+            "gram_det": 1.0,
+            "pass": False,
+            "seed": seed,
+        }
+
+    monkeypatch.setattr(hamiltonian, "integrability_suite", failed_suite)
+    result = {r.name: r for r in check_hamiltonian(4, 0)}["poisson brackets max abs"]
+    assert (result.value, result.threshold, result.passed) == (1e-12, 1e-8, False)
 
 
 def test_hamiltonian_tolerances_pinned():

@@ -5,6 +5,7 @@ from simplexgeo.errors import (
     DimensionMismatch,
     GridTooLarge,
     InvalidGrid,
+    InvalidParameter,
     PositivityLost,
     SimplexGeoError,
 )
@@ -210,6 +211,11 @@ class TestSolveLp:
         assert report.advisory is not None and "NotStrictlyDecreasing" in report.advisory
         np.testing.assert_allclose(limit.coords, 0.25, atol=1e-15)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6])
+    def test_non_positive_tol_is_typed(self, half_half, tol):
+        with pytest.raises(InvalidParameter, match="tol must be positive"):
+            solve_lp(LinearObjective(np.array([1.0, 0.0])), half_half, tol=tol)
+
     def test_report_serializable(self, half_half):
         import json
 
@@ -243,5 +249,5 @@ class TestTrajectory:
             Trajectory(np.array([0.0, 1.0]), (half_half,), None, np.zeros(2))
 
     def test_times_strictly_increasing(self, half_half):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGrid, match="times must be strictly increasing"):
             Trajectory(np.array([0.0, 0.0]), (half_half, half_half), None, np.zeros(2))

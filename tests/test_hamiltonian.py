@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simplexgeo.errors import ComplexResidue, NotNormalizable
+from simplexgeo.errors import ComplexResidue, InvalidParameter, NotNormalizable
 from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field, objective_value
 from simplexgeo.hamiltonian import (
     ComplexPoint,
@@ -341,6 +341,11 @@ class TestIntegrabilitySuite:
         report = integrability_suite(np.array([1.0, 0.0, 2.0]), trials=1, seed=5)
         assert report["gram_det"] == 0.0
         assert not report["pass"]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_typed(self, trials):
+        with pytest.raises(InvalidParameter, match="trials must be >= 1"):
+            integrability_suite(np.array([1.0, 0.5]), trials=trials, seed=0)
 
     def test_report_keys(self):
         report = integrability_suite(np.array([1.0, 0.5]), trials=1, seed=0)

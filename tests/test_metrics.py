@@ -7,9 +7,11 @@ from simplexgeo.errors import (
     DimensionMismatch,
     ExponentNotTwo,
     InvalidExponent,
+    InvalidParameter,
     LossyTruncation,
 )
 from simplexgeo.metrics import (
+    MetricReport,
     finsler_norm,
     fr_distance,
     fr_geodesic,
@@ -83,6 +85,10 @@ class TestFrInner:
         v = random_tangent(rng, p)
         rep = fr_inner_report(v, v)
         assert rep.residual_vs_pullback <= 1e-12 * max(1.0, abs(rep.value))
+
+    def test_negative_residual_is_typed(self):
+        with pytest.raises(InvalidParameter, match="residual must be nonnegative"):
+            MetricReport(value=1.0, residual_vs_pullback=-1e-18)
 
 
 class TestFinslerNorm:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from simplexgeo.errors import (
     DimensionTooSmall,
     InvalidExponent,
+    InvalidParameter,
     LengthMismatch,
     NonPositiveCoordinate,
     NotNormalizable,
@@ -153,8 +154,9 @@ class TestRefine:
 
     def test_decreasing_dims_rejected(self):
         spec = SequenceSpec("geometric", 4, ratio=0.5)
-        with pytest.raises(ValueError):
-            refine(spec, [8, 4])
+        for dims in ([8, 4], [4, 4]):
+            with pytest.raises(InvalidParameter, match="dims must be strictly increasing"):
+                refine(spec, dims)
 
     @pytest.mark.parametrize("ratio", [0.3, 0.5, 0.9])
     def test_successive_diffs_shrink(self, ratio):

@@ -1,14 +1,20 @@
-"""The benchmark's tracer and its pinned call counts hold for today's code.
+"""The benchmark's tracer, its pinned call counts and its recorded bytes hold for today's code.
 
 ``perfbench/tracing.py`` looks each traced name up on its home module, so a
-deleted or renamed function would break traced benchmark runs, and each
+deleted or renamed function would break traced benchmark runs, each
 ``Command.expect`` in ``perfbench/workloads.py`` pins a call count of the
-code.  These tests load both files without changing them.
+code, and ``perfbench/digests.json`` pins the bytes of every output.  These
+tests load those files without changing them.
 """
 
+import hashlib
 import importlib.util
+import json
+import os
 import sys
 from pathlib import Path
+
+import pytest
 
 import simplexgeo.cli
 
@@ -78,3 +84,20 @@ def test_workload_counts_match_the_code(tmp_path):
                 assert tracer.count(name, ancestor, lo) == want, (cmd.line, name)
     finally:
         tracer.uninstall()
+
+
+def test_smoke_outputs_match_recorded_digests(tmp_path):
+    run = _load("run")
+    table = json.loads((PERFBENCH / "digests.json").read_text())
+    if table["platform"] != run.platform_key():
+        pytest.skip(
+            f"digests were recorded on {table['platform']!r}; this is {run.platform_key()!r}, "
+            "where floating point may round differently"
+        )
+    recorded = {}
+    for name in ("trajectory", "integrability", "check-all"):
+        recorded.update(table["runs"][f"smoke/{name}/3"])
+    for cmd in _smoke_commands(tmp_path):
+        assert simplexgeo.cli.main(list(cmd.argv)) == 0, cmd.line
+        digest = hashlib.sha256(Path(cmd.out).read_bytes()).hexdigest()
+        assert digest == recorded[os.path.basename(cmd.out)], cmd.line
