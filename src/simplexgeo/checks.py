@@ -215,7 +215,7 @@ def check_flows(dim: int, seed: int) -> list[CheckResult]:
     obj = flows.LinearObjective(np.array([1.0, 0.0] + [-(k + 1.0) for k in range(dim - 2)]))
     p0 = make_simplex_point(SequenceSpec("uniform", dim))
     rk4 = flows.integrate_rk4(flows.gradient_vector_field(obj), p0, t_max=2.0, dt=1e-3)
-    endpoint = float(np.abs(rk4.points[-1].coords - flows.flow_closed_form(obj, p0, 2.0).coords).sum())
+    endpoint = float(np.abs(rk4.coords[-1] - flows.flow_closed_form(obj, p0, 2.0).coords).sum())
     return [
         _result("flow ODE residual (l1)", ode, 1e-6),
         _result("flow vs e-geodesic deviation (l1)", match, 1e-12),

@@ -43,6 +43,7 @@ from .errors import ConfigError, ParseError, SimplexGeoError
 from .flows import (
     LinearObjective,
     Trajectory,
+    curve_rows,
     flow_closed_form,
     flow_trajectory,
     gradient_vector_field,
@@ -52,11 +53,11 @@ from .flows import (
     time_grid,
 )
 from .hamiltonian import (
-    BRACKET_TOL,
     CANONICAL_TOL,
     CoordinateImag,
     CoordinateReal,
     bracket_max,
+    brackets_vanish,
     coordinate_hamiltonian,
     integrability_suite,
     poisson_bracket,
@@ -193,24 +194,15 @@ def _write_atomic(path: str, payload: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _trajectory_csv(traj: Trajectory) -> str:
-    dim = traj.points[0].dim
-    header = "t," + ",".join(f"p_{i}" for i in range(dim)) + ",objective,residual_l1"
-    rows = [header]
-    for i, t in enumerate(traj.times):
-        obj = traj.objective[i] if traj.objective is not None else float("nan")
-        cells = [_fmt(t)] + [_fmt(x) for x in traj.points[i].coords]
-        cells += [_fmt(obj), _fmt(traj.residual_l1[i])]
-        rows.append(",".join(cells))
+    header = "t," + ",".join(f"p_{i}" for i in range(traj.coords.shape[1]))
+    rows = [header + ",objective,residual_l1"]
+    values = np.full(len(traj), np.nan) if traj.objective is None else traj.objective
+    columns = (traj.times.tolist(), traj.coords, values.tolist(), traj.residual_l1.tolist())
+    for t, row, f, r in zip(*columns):
+        # tolist() gives Python floats, whose repr is the shortest round trip.
+        rows.append(",".join(map(repr, [t, *row.tolist(), f, r])))
     return "\n".join(rows) + "\n"
-
-
-def _floats(column) -> list[float] | None:
-    return None if column is None else [float(x) for x in column]
 
 
 def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
@@ -223,10 +215,10 @@ def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
     else:
         if traj is not None:
             report = {
-                "times": _floats(traj.times),
-                "points": [_floats(p.coords) for p in traj.points],
-                "objective": _floats(traj.objective),
-                "residual_l1": _floats(traj.residual_l1),
+                "times": traj.times.tolist(),
+                "points": traj.coords.tolist(),
+                "objective": None if traj.objective is None else traj.objective.tolist(),
+                "residual_l1": traj.residual_l1.tolist(),
                 "report": report,
             }
         if cfg.timestamp:
@@ -288,10 +280,9 @@ def _cmd_flow(
 def _cmd_geodesic(
     cfg: RunConfig, obj: LinearObjective | None, _p0, geo: EGeodesic, times: np.ndarray
 ) -> tuple[str, bool]:
-    points = tuple(geo(t) for t in times)
-    values = None if obj is None else np.array([objective_value(obj, p) for p in points])
+    rows = curve_rows(geo, times, geo.p0.dim)
     residuals = np.array([float(np.abs(e_connection_residual(geo, t)).sum()) for t in times])
-    traj = Trajectory(times, points, values, residuals)
+    traj = Trajectory(times, rows, obj, residuals)
     worst = float(residuals.max())
     passed = worst <= GEODESIC_RESIDUAL_TOL
     report = {
@@ -316,9 +307,8 @@ def _cmd_lp(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tuple
     probes = None
     if cfg.format == "csv":
         times, distances = np.array(report.probes).T
-        points = tuple(flow_closed_form(obj, p0, t) for t in times)
-        values = np.array([objective_value(obj, p) for p in points])
-        probes = Trajectory(times, points, values, distances)
+        rows = curve_rows(lambda t: flow_closed_form(obj, p0, t), times, obj.dim)
+        probes = Trajectory(times, rows, obj, distances)
     out = _emit(cfg, payload, probes)
     rate = "none" if report.rate is None else f"{report.rate:.4g}"
     return f"converged={report.converged} rate={rate} out={out}", passed
@@ -349,11 +339,7 @@ def _cmd_bracket(cfg: RunConfig, *_) -> tuple[str, bool]:
     c = rng.uniform(0.5, 3.0, size=cfg.dim)
     modes = [coordinate_hamiltonian(c, k) for k in range(cfg.dim)]
     analytic_max, numeric_max = bracket_max(modes, z)
-    passed = (
-        analytic_max == 0.0
-        and numeric_max <= BRACKET_TOL
-        and abs(canonical - 1.0) <= CANONICAL_TOL
-    )
+    passed = brackets_vanish(analytic_max, numeric_max) and abs(canonical - 1.0) <= CANONICAL_TOL
     report = {
         "command": "bracket",
         "dim": cfg.dim,

@@ -10,7 +10,6 @@ so the representative with zero gauge is stored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +20,6 @@ from .errors import (
     CurveDomain,
     LengthMismatch,
     LossyTruncation,
-    NonFiniteInput,
     StepUnderflow,
 )
 from .sequence_core import (
@@ -32,7 +30,7 @@ from .sequence_core import (
     check_exponent,
     make_tangent,
     same_point,
-    softmax_coords,
+    softmax_curve,
 )
 
 #: Finite-difference steps: fields are smooth in p, curves in t.
@@ -203,6 +201,4 @@ def e_geodesic_eval(g: EGeodesic, t: float) -> SimplexPoint:
     smallest positive normal, so the result stays in the open simplex
     with an exact unit sum even at |t| = 1e4.
     """
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"time {t} is not finite")
-    return SimplexPoint(softmax_coords(np.log(g.p0.coords) + g.a * t))
+    return softmax_curve(g.p0, g.a, t)

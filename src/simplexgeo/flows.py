@@ -15,18 +15,17 @@ t -> 4 t.  The curves above are taken as the defining convention, and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .connections import EGeodesic, VectorField, make_e_geodesic
+from .connections import Curve, EGeodesic, VectorField, make_e_geodesic
 from .errors import (
     DimensionMismatch,
     GridTooLarge,
     InvalidGrid,
     InvalidParameter,
-    NonFiniteInput,
     NonPositiveCoordinate,
     PositivityLost,
 )
@@ -36,7 +35,7 @@ from .sequence_core import (
     _read_only,
     _require_finite,
     make_tangent,
-    softmax_coords,
+    softmax_curve,
 )
 
 #: Horizon cap for the closed-form solver's doubling schedule.
@@ -76,25 +75,32 @@ class LinearObjective:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped points with per-step diagnostics; ``objective`` may be None."""
+    """Times, a ``(T, N)`` block of rows (made read-only in place, not copied) and
+    per-step residuals; the objective, if not None, fills the ``objective`` column."""
 
     times: np.ndarray
-    points: tuple[SimplexPoint, ...]
-    objective: np.ndarray | None
+    coords: np.ndarray
+    obj: InitVar[LinearObjective | None]
     residual_l1: np.ndarray
+    objective: np.ndarray | None = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, obj: LinearObjective | None):
         t = np.asarray(self.times, dtype=float)
-        if len(self.points) != t.size:
-            raise DimensionMismatch(f"{len(self.points)} points for {t.size} times")
+        rows = np.asarray(self.coords, dtype=float)
+        residual = np.asarray(self.residual_l1, dtype=float)
+        if rows.ndim != 2 or len(rows) != t.size or residual.size != t.size:
+            raise DimensionMismatch(f"rows {rows.shape}, {residual.size} residuals, {t.size} times")
         if t.size > 1 and not (np.diff(t) > 0.0).all():
             raise InvalidGrid("times must be strictly increasing")
-        for name in ("objective", "residual_l1"):
-            col = getattr(self, name)
-            if col is not None and np.asarray(col).size != t.size:
-                raise DimensionMismatch(f"{name} column length differs from times")
+        if obj is not None and obj.dim != rows.shape[1]:
+            raise DimensionMismatch(f"objective dim {obj.dim}, row dim {rows.shape[1]}")
+        # One dot per row, so each value is bitwise objective_value at that row.
+        values = None if obj is None else np.array([float(np.dot(obj.c, row)) for row in rows])
+        rows.setflags(write=False)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "coords", rows)
+        object.__setattr__(self, "residual_l1", residual)
+        object.__setattr__(self, "objective", values)
 
     def __len__(self) -> int:
         return self.times.size
@@ -128,9 +134,7 @@ def flow_closed_form(obj: LinearObjective, p0: SimplexPoint, t: float) -> Simple
     """Exact flow point: softmax of log p_0 + c t, defined for all real t."""
     if obj.dim != p0.dim:
         raise DimensionMismatch(f"objective dim {obj.dim}, point dim {p0.dim}")
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"time {t} is not finite")
-    return SimplexPoint(softmax_coords(np.log(p0.coords) + obj.c * t))
+    return softmax_curve(p0, obj.c, t)
 
 
 def flow_ode_residual(obj: LinearObjective, p0: SimplexPoint, t: float) -> float:
@@ -159,13 +163,20 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     return dt * np.arange(rows)
 
 
+def curve_rows(curve: Curve, times: np.ndarray, dim: int) -> np.ndarray:
+    """The ``(T, N)`` block of a curve's coordinates, one row per time."""
+    rows = np.empty((len(times), dim))
+    for i, t in enumerate(times):
+        rows[i] = curve(t).coords
+    return rows
+
+
 def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -> Trajectory:
     """Closed-form flow sampled on a time grid, with per-step ODE residuals."""
     times = np.asarray(times, dtype=float)
-    points = [flow_closed_form(obj, p0, t) for t in times]
-    values = np.array([objective_value(obj, p) for p in points])
+    rows = curve_rows(lambda t: flow_closed_form(obj, p0, t), times, obj.dim)
     residuals = np.array([flow_ode_residual(obj, p0, t) for t in times])
-    return Trajectory(times, tuple(points), values, residuals)
+    return Trajectory(times, rows, obj, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +201,10 @@ def integrate_rk4(
 
     tail = p0.tail_bound
     point = p0
-    points = [p0]
-    drifts = [0.0]
-    for _ in range(times.size - 1):
+    rows = np.empty((times.size, p0.dim))
+    rows[0] = p0.coords
+    drifts = np.zeros(times.size)
+    for i in range(1, times.size):
         # k1 is taken at the accepted point itself; only the three inner stages build points.
         coords = point.coords
         try:
@@ -204,17 +216,13 @@ def integrate_rk4(
             raise PositivityLost("an RK4 stage left the open simplex; shrink dt") from exc
         coords = coords + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = float(coords.sum())
-        drifts.append(abs(1.0 - s))
+        drifts[i] = abs(1.0 - s)
         coords = coords / s
         if not (coords > 0.0).all():
             raise PositivityLost("an RK4 step left the open simplex; shrink dt")
         point = SimplexPoint(coords, tail_bound=tail)
-        points.append(point)
-
-    values = None
-    if objective is not None:
-        values = np.array([objective_value(objective, p) for p in points])
-    return Trajectory(times, tuple(points), values, np.asarray(drifts))
+        rows[i] = point.coords
+    return Trajectory(times, rows, objective, drifts)
 
 
 # ---------------------------------------------------------------------------

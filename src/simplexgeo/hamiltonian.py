@@ -283,6 +283,11 @@ def bracket_max(observables: list[Callable], z) -> tuple[float, float]:
     return analytic_max, numeric_max
 
 
+def brackets_vanish(analytic_max: float, numeric_max: float) -> bool:
+    """Verdict on :func:`bracket_max`: analytic exactly 0.0, numeric <= ``BRACKET_TOL``."""
+    return bool(analytic_max == 0.0 and numeric_max <= BRACKET_TOL)
+
+
 # ---------------------------------------------------------------------------
 # flows and the Kaehler identity
 # ---------------------------------------------------------------------------
@@ -388,8 +393,7 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     gram_det = float(np.linalg.det(gram))
 
     passed = (
-        analytic_max == 0.0
-        and numeric_max <= BRACKET_TOL
+        brackets_vanish(analytic_max, numeric_max)
         and drift_max <= CONSERVATION_TOL
         and gram_det > 0.0
     )

@@ -25,7 +25,6 @@ from .errors import (
     NonPositiveCoordinate,
     NotNormalizable,
     NoTailModel,
-    NotPositive,
     RatioOutOfRange,
 )
 
@@ -142,7 +141,7 @@ def same_base(v: TangentVector, w: TangentVector) -> SimplexPoint:
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """Point of the unit lq sphere, optionally flagged strictly positive.
+    """Point of the unit lq sphere.
 
     ``mass_deficit`` mirrors :class:`SimplexPoint.tail_bound`: the q-th
     power sum may fall short of 1 by at most that much, so lossy
@@ -151,15 +150,12 @@ class SpherePoint:
 
     coords: np.ndarray
     q: float = 2.0
-    positive: bool = False
     mass_deficit: float = 0.0
 
     def __post_init__(self):
         check_exponent(self.q)
         a = np.asarray(self.coords, dtype=float)
         _require_finite(a, "coordinate vector")
-        if self.positive and not np.all(a > 0.0):
-            raise NotPositive("positive flag set but a coordinate is <= 0")
         tol = membership_tol(a.size)
         s = float(np.sum(np.abs(a) ** self.q))
         if not (1.0 - self.mass_deficit - tol <= s <= 1.0 + tol):
@@ -409,6 +405,13 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
         if not moved:
             break
     return x
+
+
+def softmax_curve(p0: SimplexPoint, a: np.ndarray, t: float) -> SimplexPoint:
+    """Point softmax(log p0 + a t), for any finite t, of an e-geodesic or flow."""
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"time {t} is not finite")
+    return SimplexPoint(softmax_coords(np.log(p0.coords) + a * t))
 
 
 # ---------------------------------------------------------------------------

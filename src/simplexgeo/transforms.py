@@ -49,14 +49,14 @@ def forward(transform: RootTransform, p: SimplexPoint) -> SpherePoint:
             f"truncation keeps only {p.mass():.3g} of the mass; refusing to lift"
         )
     x = p.coords ** (1.0 / transform.q)
-    return SpherePoint(x, q=transform.q, positive=True, mass_deficit=p.tail_bound)
+    return SpherePoint(x, q=transform.q, mass_deficit=p.tail_bound)
 
 
 def inverse(transform: RootTransform, x: SpherePoint) -> SimplexPoint:
     """Map a strictly positive sphere point back to the simplex: p_n = x_n^q."""
     if x.q != transform.q:
         raise InvalidExponent(f"sphere point has q={x.q}, transform has q={transform.q}")
-    if not (x.positive and np.all(x.coords > 0.0)):
+    if not np.all(x.coords > 0.0):
         raise NotPositive("inverse transform needs strictly positive coordinates")
     return SimplexPoint(x.coords**transform.q, tail_bound=x.mass_deficit)
 

@@ -99,7 +99,7 @@ def test_criterion_3_gradient_flow_correctness():
         obj = LinearObjective(np.sort(rng.uniform(-1.0, 1.0, size=8))[::-1].copy())
         p0 = random_simplex_point(rng, 8)
         traj = integrate_rk4(gradient_vector_field(obj), p0, t_max=2.0, dt=1e-3)
-        gap = np.abs(traj.points[-1].coords - flow_closed_form(obj, p0, 2.0).coords).sum()
+        gap = np.abs(traj.coords[-1] - flow_closed_form(obj, p0, 2.0).coords).sum()
         worst_rk = max(worst_rk, float(gap))
     report("3b RK4 oracle endpoint", worst_rk, 1e-6)
 

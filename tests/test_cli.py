@@ -3,9 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from simplexgeo.cli import (
     RunConfig,
+    _emit,
     _write_atomic,
     config_from_args,
     main,
@@ -13,6 +16,8 @@ from simplexgeo.cli import (
     run,
 )
 from simplexgeo.errors import ConfigError, ParseError, RatioOutOfRange
+from simplexgeo.flows import LinearObjective, Trajectory
+from simplexgeo.sequence_core import TINY
 
 
 class TestParseSequenceSpec:
@@ -105,6 +110,68 @@ class TestFlowCommand:
                      "--t-max", "1", "--dt", "0.1"])
         assert code == 2
         assert "missing required fields" in capsys.readouterr().err
+
+
+def per_cell_csv(traj):
+    """The per-cell CSV writer the block writer replaced, kept as its reference."""
+    dim = traj.coords.shape[1]
+    header = "t," + ",".join(f"p_{i}" for i in range(dim)) + ",objective,residual_l1"
+    rows = [header]
+    for i, t in enumerate(traj.times):
+        obj = traj.objective[i] if traj.objective is not None else float("nan")
+        cells = [repr(float(t))] + [repr(float(x)) for x in traj.coords[i]]
+        cells += [repr(float(obj)), repr(float(traj.residual_l1[i]))]
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+def per_cell_json(traj, report):
+    """The per-cell JSON mirror the block writer replaced, kept as its reference."""
+
+    def floats(column):
+        return None if column is None else [float(x) for x in column]
+
+    mirror = {
+        "times": floats(traj.times),
+        "points": [floats(row) for row in traj.coords],
+        "objective": floats(traj.objective),
+        "residual_l1": floats(traj.residual_l1),
+        "report": report,
+    }
+    return json.dumps(mirror, sort_keys=True, indent=1) + "\n"
+
+
+SPECIAL_CELLS = np.array([-0.0, 0.0, TINY, 5e-324, 1e300, 0.1, 1.0 / 3.0])
+
+
+def cells(rng, size):
+    """Finite doubles of every magnitude, a quarter of them drawn from ``SPECIAL_CELLS``."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    return np.where(rng.random(size) < 0.25, rng.choice(SPECIAL_CELLS, size), values)
+
+
+@st.composite
+def trajectories(draw):
+    rows, dim = draw(st.integers(1, 50)), draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.unique(np.concatenate([cells(rng, rows), np.arange(rows)]))
+    times = np.sort(rng.choice(times, rows, replace=False))
+    obj = LinearObjective(rng.uniform(-10.0, 10.0, dim)) if draw(st.booleans()) else None
+    return Trajectory(times, cells(rng, (rows, dim)), obj, cells(rng, rows))
+
+
+class TestWriterMatchesPerCellReference:
+    @given(traj=trajectories())
+    def test_csv_and_json_bytes(self, tmp_path_factory, traj):
+        out = tmp_path_factory.mktemp("emit")
+        report = {"command": "flow", "pass": True}
+        csv_path = _emit(RunConfig("flow", out_path=str(out / "t.csv")), report, traj)
+        cfg = RunConfig("flow", format="json", timestamp=False, out_path=str(out / "t.json"))
+        json_path = _emit(cfg, report, traj)
+        with open(csv_path, "rb") as fh:
+            assert fh.read() == per_cell_csv(traj).encode()
+        with open(json_path, "rb") as fh:
+            assert fh.read() == per_cell_json(traj, report).encode()
 
 
 class TestOtherCommands:

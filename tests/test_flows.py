@@ -126,13 +126,13 @@ class TestIntegrateRk4:
         obj = LinearObjective(np.array([1.0, 0.0]))
         traj = integrate_rk4(gradient_vector_field(obj), half_half, t_max=2.0, dt=1e-3)
         expect = flow_closed_form(obj, half_half, 2.0)
-        assert np.abs(traj.points[-1].coords - expect.coords).sum() <= 1e-6
+        assert np.abs(traj.coords[-1] - expect.coords).sum() <= 1e-6
 
     def test_zero_field_constant(self, rng):
         p0 = random_simplex_point(rng, 4)
         traj = integrate_rk4(lambda p: make_tangent(p, np.zeros(4)), p0, t_max=0.5, dt=0.05)
-        for pt in traj.points:
-            np.testing.assert_allclose(pt.coords, p0.coords, atol=1e-15)
+        for row in traj.coords:
+            np.testing.assert_allclose(row, p0.coords, atol=1e-15)
 
     def test_stiff_objective_loses_positivity(self):
         obj = LinearObjective(np.array([50.0, 0.0]))
@@ -244,10 +244,41 @@ class TestFlowGeodesicCorrespondence:
 
 
 class TestTrajectory:
+    def test_block_must_be_two_dimensional(self, half_half):
+        with pytest.raises(DimensionMismatch):
+            Trajectory(np.array([0.0]), half_half.coords, None, np.zeros(1))
+
+    def test_residual_count_enforced(self, half_half):
+        with pytest.raises(DimensionMismatch):
+            Trajectory(np.array([0.0, 1.0]), np.array([half_half.coords] * 2), None, np.zeros(3))
+
+    def test_objective_dimension_enforced(self, half_half):
+        obj = LinearObjective(np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            Trajectory(np.array([0.0]), np.array([half_half.coords]), obj, np.zeros(1))
+
+    def test_coords_block_is_read_only(self, rng):
+        obj = LinearObjective(rng.standard_normal(4))
+        traj = flow_trajectory(obj, random_simplex_point(rng, 4), np.linspace(0.0, 1.0, 5))
+        assert traj.coords.shape == (5, 4)
+        with pytest.raises(ValueError):
+            traj.coords[0, 0] = 0.5
+
+    def test_objective_column_is_objective_value_per_row(self, rng):
+        obj = LinearObjective(rng.standard_normal(16))
+        p0 = random_simplex_point(rng, 16)
+        times = np.linspace(0.0, 3.0, 31)
+        closed = flow_trajectory(obj, p0, times)
+        expect = [objective_value(obj, flow_closed_form(obj, p0, t)) for t in times]
+        assert closed.objective.tolist() == expect
+        rk4 = integrate_rk4(gradient_vector_field(obj), p0, t_max=3.0, dt=0.1, objective=obj)
+        expect = [objective_value(obj, SimplexPoint(row)) for row in rk4.coords]
+        assert rk4.objective.tolist() == expect
+
     def test_length_agreement_enforced(self, half_half):
         with pytest.raises(DimensionMismatch):
-            Trajectory(np.array([0.0, 1.0]), (half_half,), None, np.zeros(2))
+            Trajectory(np.array([0.0, 1.0]), np.array([half_half.coords]), None, np.zeros(2))
 
     def test_times_strictly_increasing(self, half_half):
         with pytest.raises(InvalidGrid, match="times must be strictly increasing"):
-            Trajectory(np.array([0.0, 0.0]), (half_half, half_half), None, np.zeros(2))
+            Trajectory(np.array([0.0, 0.0]), np.array([half_half.coords] * 2), None, np.zeros(2))

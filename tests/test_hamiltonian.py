@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from simplexgeo.errors import ComplexResidue, InvalidParameter, NotNormalizable
 from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field, objective_value
 from simplexgeo.hamiltonian import (
+    BRACKET_TOL,
     ComplexPoint,
     CoordinateImag,
     CoordinateReal,
     ProjectivePoint,
     QuadraticHamiltonian,
     bracket_max,
+    brackets_vanish,
     canonical_gauge,
     coordinate_hamiltonian,
     hamiltonian_flow,
@@ -246,6 +248,19 @@ class TestBracketMax:
         n, trials = 6, 3
         integrability_suite(np.linspace(2.0, 1.0, n), trials=trials, seed=11)
         assert len(quadratic_evals) == trials * (n + 1) * 4 * n
+
+
+class TestBracketVerdict:
+    @pytest.mark.parametrize(
+        "analytic, numeric, passed",
+        [
+            (0.0, BRACKET_TOL, True),
+            (5e-324, 0.0, False),
+            (0.0, np.nextafter(BRACKET_TOL, 1.0), False),
+        ],
+    )
+    def test_edges(self, analytic, numeric, passed):
+        assert brackets_vanish(analytic, numeric) is passed
 
 
 class TestHamiltonianFlow:

@@ -144,12 +144,12 @@ class TestSphereProject:
     def test_annihilates_base(self, rng):
         raw = rng.standard_normal(6)
         coords = np.abs(raw) / np.linalg.norm(raw)
-        x = SpherePoint(coords, q=2.0, positive=True)
+        x = SpherePoint(coords, q=2.0)
         np.testing.assert_allclose(sphere_project(x, coords).comps, 0.0, atol=1e-15)
 
     def test_halving_example(self):
         s = np.sqrt(0.5)
-        x = SpherePoint(np.array([s, s]), q=2.0, positive=True)
+        x = SpherePoint(np.array([s, s]), q=2.0)
         out = sphere_project(x, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out.comps, [0.5, -0.5], rtol=0, atol=1e-15)
 
