@@ -36,6 +36,9 @@ BRACKET_TOL = 1e-8
 CONSERVATION_TOL = 1e-10
 #: Largest error accepted in the canonical pair {Re z_0, Im z_0} = 1.
 CANONICAL_TOL = 1e-10
+#: Most complex entries in one block of the finite-difference perturbation
+#: stack (1 MiB); every N <= 128 is one block, and memory stays flat in N.
+_STACK_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +128,11 @@ class QuadraticHamiltonian:
         return hamiltonian_value(self, z)
 
 
+def _check_dim(H: QuadraticHamiltonian, n: int) -> None:
+    if H.dim != n:
+        raise DimensionMismatch(f"weights dim {H.dim}, point dim {n}")
+
+
 def coordinate_hamiltonian(c, n: int) -> QuadraticHamiltonian:
     """The single-mode integral H_n: weight c_n on coordinate n, zero elsewhere."""
     c = np.asarray(c, dtype=float)
@@ -146,23 +154,38 @@ class Linearization:
 
 
 @dataclass(frozen=True)
-class CoordinateReal:
-    """Observable Re z_k (registered analytic form for Wirtinger calculus)."""
+class _Coordinate:
+    """Observable reading one coordinate z_k; the index must be >= 0."""
 
     index: int
 
-    def __call__(self, z) -> float:
-        return float(_coords_of(z)[self.index].real)
+    def __post_init__(self):
+        if self.index < 0:
+            raise InvalidParameter(f"coordinate index must be >= 0, got {self.index}")
+
+    def at(self, n: int) -> int:
+        """The index, checked against a point of dim n."""
+        if self.index >= n:
+            raise DimensionMismatch(f"coordinate index {self.index}, point dim {n}")
+        return self.index
 
 
 @dataclass(frozen=True)
-class CoordinateImag:
-    """Observable Im z_k (registered analytic form for Wirtinger calculus)."""
-
-    index: int
+class CoordinateReal(_Coordinate):
+    """Observable Re z_k (registered analytic form for Wirtinger calculus)."""
 
     def __call__(self, z) -> float:
-        return float(_coords_of(z)[self.index].imag)
+        a = _coords_of(z)
+        return float(a[self.at(a.size)].real)
+
+
+@dataclass(frozen=True)
+class CoordinateImag(_Coordinate):
+    """Observable Im z_k (registered analytic form for Wirtinger calculus)."""
+
+    def __call__(self, z) -> float:
+        a = _coords_of(z)
+        return float(a[self.at(a.size)].imag)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +212,13 @@ def momentum_torus(z: ProjectivePoint | ComplexPoint) -> np.ndarray:
 def hamiltonian_value(H: QuadraticHamiltonian, z: ProjectivePoint | ComplexPoint) -> float:
     """sum c_n |z_n|^2; independent of the phase representative."""
     a = _coords_of(z)
-    if H.dim != a.size:
-        raise DimensionMismatch(f"weights dim {H.dim}, point dim {a.size}")
-    return float(np.sum(H.weights * np.abs(a) ** 2))
+    _check_dim(H, a.size)
+    return float((H.weights * np.abs(a) ** 2).sum())
+
+
+def _quadratic_rows(weights: np.ndarray, abs2: np.ndarray) -> np.ndarray:
+    """sum_n w_n |z_n|^2 for every row of |z|^2; bitwise :func:`hamiltonian_value` per row."""
+    return (weights * abs2).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +226,48 @@ def hamiltonian_value(H: QuadraticHamiltonian, z: ProjectivePoint | ComplexPoint
 # ---------------------------------------------------------------------------
 
 
-def _numeric_wirtinger(f: Callable, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_values(f: Callable, rows: np.ndarray, abs2: np.ndarray | None) -> np.ndarray:
+    """f at every row of a perturbation block; ``abs2`` is |rows|^2 when f is quadratic."""
+    if isinstance(f, QuadraticHamiltonian):
+        return _quadratic_rows(f.weights, abs2)
+    return np.array([f(row) for row in rows])
+
+
+def _numeric_wirtinger(observables: list[Callable], z: np.ndarray) -> list[tuple]:
+    """Central-difference (df/dz, df/dzbar) of every observable at z from one perturbation stack.
+
+    The stack holds z + e_j, z - e_j, z + i e_j and z - i e_j for each
+    coordinate j, where e_j is the step on coordinate j, built as z +- D
+    so that each row is bitwise the vector a per-coordinate loop would
+    evaluate, signed zeros included.  Quadratics evaluate all rows at
+    once from one shared |row|^2; any other observable is called row by
+    row on the read-only stack.  The stack is built in blocks of at most
+    ``_STACK_BLOCK`` entries (whole coordinates at a time, at least one).
+    """
     n = z.size
-    dz = np.empty(n, dtype=complex)
-    dzbar = np.empty(n, dtype=complex)
-    for j in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[j] = WIRTINGER_STEP
-        df_dx = (f(z + e) - f(z - e)) / (2.0 * WIRTINGER_STEP)
-        df_dy = (f(z + 1j * e) - f(z - 1j * e)) / (2.0 * WIRTINGER_STEP)
-        dz[j] = 0.5 * (df_dx - 1j * df_dy)
-        dzbar[j] = 0.5 * (df_dx + 1j * df_dy)
-    return dz, dzbar
+    quadratic = False
+    for f in observables:
+        if isinstance(f, QuadraticHamiltonian):
+            _check_dim(f, n)
+            quadratic = True
+    dz = np.empty((len(observables), n), dtype=complex)
+    dzbar = np.empty_like(dz)
+    width = max(1, _STACK_BLOCK // (4 * n))
+    for lo in range(0, n, width):
+        block = slice(lo, min(n, lo + width))
+        m = block.stop - lo
+        d = np.zeros((m, n), dtype=complex)
+        d[np.arange(m), np.arange(lo, block.stop)] = WIRTINGER_STEP
+        rows = np.concatenate((z + d, z - d, z + 1j * d, z - 1j * d))
+        rows.setflags(write=False)
+        abs2 = np.abs(rows) ** 2 if quadratic else None
+        for k, f in enumerate(observables):
+            plus_x, minus_x, plus_y, minus_y = _row_values(f, rows, abs2).reshape(4, m)
+            df_dx = (plus_x - minus_x) / (2.0 * WIRTINGER_STEP)
+            df_dy = (plus_y - minus_y) / (2.0 * WIRTINGER_STEP)
+            dz[k, block] = 0.5 * (df_dx - 1j * df_dy)
+            dzbar[k, block] = 0.5 * (df_dx + 1j * df_dy)
+    return list(zip(dz, dzbar))
 
 
 def wirtinger(f: Callable, z, numeric: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -229,18 +286,20 @@ def wirtinger(f: Callable, z, numeric: bool = False) -> tuple[np.ndarray, np.nda
     a = _coords_of(z)
     if not numeric:
         if isinstance(f, QuadraticHamiltonian):
+            _check_dim(f, a.size)
             return f.weights * a.conjugate(), f.weights * a
         if isinstance(f, CoordinateReal):
             dz = np.zeros(a.size, dtype=complex)
-            dz[f.index] = 0.5
+            dz[f.at(a.size)] = 0.5
             return dz, dz.copy()
         if isinstance(f, CoordinateImag):
+            k = f.at(a.size)
             dz = np.zeros(a.size, dtype=complex)
             dzbar = np.zeros(a.size, dtype=complex)
-            dz[f.index] = -0.5j
-            dzbar[f.index] = 0.5j
+            dz[k] = -0.5j
+            dzbar[k] = 0.5j
             return dz, dzbar
-    return _numeric_wirtinger(f, a)
+    return _numeric_wirtinger([f], a)[0]
 
 
 def poisson_bracket(f: Callable, g: Callable, z, numeric: bool = False) -> float:
@@ -255,10 +314,10 @@ def poisson_bracket(f: Callable, g: Callable, z, numeric: bool = False) -> float
     """
     df_dz, df_dzbar = wirtinger(f, z, numeric=numeric)
     dg_dz, dg_dzbar = wirtinger(g, z, numeric=numeric)
-    value = 2.0j * np.sum(df_dzbar * dg_dz - df_dz * dg_dzbar)
+    value = 2.0j * (df_dzbar * dg_dz - df_dz * dg_dzbar).sum()
     if abs(value.imag) > 1e-10:
         raise ComplexResidue(f"bracket has imaginary part {value.imag}")
-    return -4.0 * float(np.sum(df_dz.real * dg_dz.imag - df_dz.imag * dg_dz.real))
+    return -4.0 * float((df_dz.real * dg_dz.imag - df_dz.imag * dg_dz.real).sum())
 
 
 def bracket_max(observables: list[Callable], z) -> tuple[float, float]:
@@ -266,12 +325,12 @@ def bracket_max(observables: list[Callable], z) -> tuple[float, float]:
 
     A bracket needs only the first derivatives of f and g at z, so each
     observable is differentiated once per path and every pair reads the
-    stored :class:`Linearization`: M observables cost M numeric gradients
-    (4N evaluations each), not one per pair.  Each pair still goes
-    through :func:`poisson_bracket`, with its imaginary-part check.
+    stored :class:`Linearization`.  The numeric path differentiates all M
+    observables from one perturbation stack of 4N rows.  Each pair still
+    goes through :func:`poisson_bracket`, with its imaginary-part check.
     """
     analytic = [Linearization(*wirtinger(f, z)) for f in observables]
-    numeric = [Linearization(*wirtinger(f, z, numeric=True)) for f in observables]
+    numeric = [Linearization(*d) for d in _numeric_wirtinger(observables, _coords_of(z))]
     analytic_max = 0.0
     numeric_max = 0.0
     for k in range(len(observables)):
@@ -299,8 +358,7 @@ def hamiltonian_flow(H: QuadraticHamiltonian, z0: ComplexPoint, t: float) -> Com
     Pure phase rotations: every modulus |z_n| is preserved, hence the
     value of the Hamiltonian and of every single-mode integral.
     """
-    if H.dim != z0.dim:
-        raise DimensionMismatch(f"weights dim {H.dim}, point dim {z0.dim}")
+    _check_dim(H, z0.dim)
     if not math.isfinite(t):
         raise NonFiniteInput(f"time {t} is not finite")
     return ComplexPoint(z0.coords * np.exp(2.0j * H.weights * t))
@@ -371,12 +429,11 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
         analytic, numeric = bracket_max([h_full, *h_modes], z)
         analytic_max = max(analytic_max, analytic)
         numeric_max = max(numeric_max, numeric)
-        for t in (0.1, 1.0, 10.0):
-            moved = hamiltonian_flow(h_full, z, t)
-            for h_mode in h_modes:
-                drift_max = max(
-                    drift_max, abs(hamiltonian_value(h_mode, moved) - hamiltonian_value(h_mode, z))
-                )
+        path = [z.coords] + [hamiltonian_flow(h_full, z, t).coords for t in (0.1, 1.0, 10.0)]
+        abs2 = np.abs(np.array(path)) ** 2
+        for h_mode in h_modes:
+            energy = _quadratic_rows(h_mode.weights, abs2)
+            drift_max = max(drift_max, float(np.abs(energy[1:] - energy[0]).max()))
 
     # Independence is witnessed on the ambient lifts, whose derivatives have
     # disjoint supports; the horizontal gradients satisfy one exact relation

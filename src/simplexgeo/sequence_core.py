@@ -115,11 +115,11 @@ class TangentVector:
         a = np.asarray(self.comps, dtype=float)
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
-        s = float(a.sum())
+        s = a.sum()
         if not math.isfinite(s):
             _require_finite(a, "component vector")
         if abs(s) > membership_tol(a.size):
-            raise NotNormalizable(f"tangent components sum to {a.sum()}, expected 0")
+            raise NotNormalizable(f"tangent components sum to {s}, expected 0")
         object.__setattr__(self, "comps", _read_only(a))
 
     @property
@@ -319,11 +319,13 @@ def make_tangent(base: SimplexPoint, raw) -> TangentVector:
     # Raw vectors come from outside (the CLI's --v0), so finiteness is checked
     # before the sum: a sum over both infinities would raise numpy's RuntimeWarning.
     _require_finite(a, "raw vector")
-    s = float(a.sum())
-    tol = membership_tol(a.size)
-    if abs(s) <= tol:
+    # The constructor's sum is the one test of tangency; only a vector it rejects is projected.
+    try:
         return TangentVector(base, a)
-    return TangentVector(base, zero_sum_rows(a.reshape(1, -1), tol).reshape(a.shape))
+    except NotNormalizable:
+        pass
+    projected = zero_sum_rows(a.reshape(1, -1), membership_tol(a.size)).reshape(a.shape)
+    return TangentVector(base, projected)
 
 
 def zero_sum_rows(raw: np.ndarray, tol: float) -> np.ndarray:

@@ -1,12 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplexgeo.errors import ComplexResidue, InvalidParameter, NotNormalizable
+from simplexgeo import hamiltonian
+from simplexgeo.errors import ComplexResidue, DimensionMismatch, InvalidParameter, NotNormalizable
 from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field, objective_value
 from simplexgeo.hamiltonian import (
     BRACKET_TOL,
+    WIRTINGER_STEP,
     ComplexPoint,
     CoordinateImag,
     CoordinateReal,
@@ -148,6 +153,27 @@ class TestWirtinger:
         np.testing.assert_allclose(dz, 0.0, atol=1e-10)
         np.testing.assert_allclose(dzbar, 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_quadratic_longer_than_point_rejected(self, numeric):
+        with pytest.raises(DimensionMismatch):
+            wirtinger(QuadraticHamiltonian(np.ones(3)), ComplexPoint(np.array([1.0 + 0j])), numeric)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_quadratic_shorter_than_point_rejected(self, rng, numeric):
+        with pytest.raises(DimensionMismatch):
+            wirtinger(QuadraticHamiltonian(np.ones(2)), random_complex_point(rng, 3), numeric)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    @pytest.mark.parametrize("kind", [CoordinateReal, CoordinateImag])
+    def test_coordinate_past_the_point_rejected(self, rng, kind, numeric):
+        with pytest.raises(DimensionMismatch):
+            wirtinger(kind(5), random_complex_point(rng, 3), numeric)
+
+    @pytest.mark.parametrize("kind", [CoordinateReal, CoordinateImag])
+    def test_negative_coordinate_rejected(self, kind):
+        with pytest.raises(InvalidParameter):
+            kind(-1)
+
     def test_numeric_matches_analytic(self, rng):
         for _ in range(10):
             c = rng.standard_normal(6)
@@ -196,18 +222,93 @@ def quartic(w) -> float:
     return float(np.sum(np.abs(w) ** 4))
 
 
+def signed_zero_field(k: int):
+    """A real observable that reads the sign of zero parts of coordinate k."""
+    return lambda w: math.copysign(0.25, w[k].real) + math.copysign(0.5, w[k].imag)
+
+
+def loop_wirtinger(f, z):
+    """The per-coordinate loop the stacked kernel replaced, kept as its bitwise reference."""
+    n = z.size
+    dz = np.empty(n, dtype=complex)
+    dzbar = np.empty(n, dtype=complex)
+    for j in range(n):
+        e = np.zeros(n, dtype=complex)
+        e[j] = WIRTINGER_STEP
+        df_dx = (f(z + e) - f(z - e)) / (2.0 * WIRTINGER_STEP)
+        df_dy = (f(z + 1j * e) - f(z - 1j * e)) / (2.0 * WIRTINGER_STEP)
+        dz[j] = 0.5 * (df_dx - 1j * df_dy)
+        dzbar[j] = 0.5 * (df_dx + 1j * df_dy)
+    return dz, dzbar
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStackedWirtinger:
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0))
+    @example(n=300, seed=0, zeros=0.3)
+    def test_bitwise_equals_loop(self, n, seed, zeros):
+        rng = np.random.default_rng(seed)
+        z = np.empty(n, dtype=complex)
+        z.real, z.imag = rng.uniform(-1.0, 1.0, (2, n))
+        for part in (z.real, z.imag):
+            hit = rng.random(n) < zeros
+            part[hit] = rng.choice([0.0, -0.0], hit.sum())
+        w = rng.standard_normal(n)
+        w[rng.random(n) < zeros] = 0.0
+        k, m = (int(i) for i in rng.integers(0, n, 2))
+        observables = [
+            QuadraticHamiltonian(w),
+            coordinate_hamiltonian(w, k),
+            CoordinateReal(k),
+            CoordinateImag(m),
+            quartic,
+            signed_zero_field(m),
+        ]
+        for f, (dz, dzbar) in zip(observables, hamiltonian._numeric_wirtinger(observables, z)):
+            ref_dz, ref_dzbar = loop_wirtinger(f, z)
+            assert np.array_equal(bits(dz), bits(ref_dz)), f
+            assert np.array_equal(bits(dzbar), bits(ref_dzbar)), f
+
+    def test_mismatched_quadratic_rejected(self, rng):
+        z = random_complex_point(rng, 4).coords
+        with pytest.raises(DimensionMismatch):
+            hamiltonian._numeric_wirtinger([quartic, QuadraticHamiltonian(np.ones(5))], z)
+
+    def test_memory_is_bounded_in_blocks(self, rng):
+        # An unblocked (4N, N) stack with its |z|^2 would need about 400 MB here.
+        n = 2048
+        z = random_complex_point(rng, n).coords
+        tracemalloc.start()
+        try:
+            hamiltonian._numeric_wirtinger([QuadraticHamiltonian(np.ones(n))], z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 @pytest.fixture
-def quadratic_evals(monkeypatch):
-    """Count QuadraticHamiltonian evaluations, as the benchmark's counter does."""
-    evals = []
-    original = QuadraticHamiltonian.__call__
+def evaluations(monkeypatch):
+    """Rows of the perturbation stack evaluated, and scalar QuadraticHamiltonian calls."""
+    counts = {"rows": 0, "quadratic_calls": 0}
+    row_values = hamiltonian._row_values
+    call = QuadraticHamiltonian.__call__
+
+    def rows(f, block, abs2):
+        counts["rows"] += len(block)
+        return row_values(f, block, abs2)
 
     def counted(self, z):
-        evals.append(None)
-        return original(self, z)
+        counts["quadratic_calls"] += 1
+        return call(self, z)
 
+    monkeypatch.setattr(hamiltonian, "_row_values", rows)
     monkeypatch.setattr(QuadraticHamiltonian, "__call__", counted)
-    return evals
+    return counts
 
 
 class TestBracketMax:
@@ -238,16 +339,16 @@ class TestBracketMax:
             bracket_max([QuadraticHamiltonian(np.ones(3)), lambda w: w[0]], z)
 
     @pytest.mark.parametrize("n, count", [(4, 3), (8, 9)])
-    def test_each_gradient_once(self, rng, quadratic_evals, n, count):
+    def test_each_gradient_once(self, rng, evaluations, n, count):
         c = rng.uniform(0.5, 3.0, n)
         modes = [coordinate_hamiltonian(c, k % n) for k in range(count)]
         bracket_max(modes, random_complex_point(rng, n))
-        assert len(quadratic_evals) == count * 4 * n
+        assert evaluations == {"rows": count * 4 * n, "quadratic_calls": 0}
 
-    def test_integrability_suite_evaluations(self, quadratic_evals):
+    def test_integrability_suite_evaluations(self, evaluations):
         n, trials = 6, 3
         integrability_suite(np.linspace(2.0, 1.0, n), trials=trials, seed=11)
-        assert len(quadratic_evals) == trials * (n + 1) * 4 * n
+        assert evaluations == {"rows": trials * (n + 1) * 4 * n, "quadratic_calls": 0}
 
 
 class TestBracketVerdict:

@@ -86,7 +86,8 @@ def test_workload_counts_match_the_code(tmp_path):
         tracer.uninstall()
 
 
-def test_smoke_outputs_match_recorded_digests(tmp_path):
+def _recorded_digests():
+    """The recorded digest table, or a skip where floating point may round differently."""
     run = _load("run")
     table = json.loads((PERFBENCH / "digests.json").read_text())
     if table["platform"] != run.platform_key():
@@ -94,10 +95,26 @@ def test_smoke_outputs_match_recorded_digests(tmp_path):
             f"digests were recorded on {table['platform']!r}; this is {run.platform_key()!r}, "
             "where floating point may round differently"
         )
-    recorded = {}
-    for name in ("trajectory", "integrability", "check-all"):
-        recorded.update(table["runs"][f"smoke/{name}/3"])
-    for cmd in _smoke_commands(tmp_path):
+    return table["runs"]
+
+
+def _assert_digests(cmds, recorded):
+    for cmd in cmds:
         assert simplexgeo.cli.main(list(cmd.argv)) == 0, cmd.line
         digest = hashlib.sha256(Path(cmd.out).read_bytes()).hexdigest()
         assert digest == recorded[os.path.basename(cmd.out)], cmd.line
+
+
+def test_smoke_outputs_match_recorded_digests(tmp_path):
+    runs = _recorded_digests()
+    recorded = {}
+    for name in ("trajectory", "integrability", "check-all"):
+        recorded.update(runs[f"smoke/{name}/3"])
+    _assert_digests(_smoke_commands(tmp_path), recorded)
+
+
+def test_full_size_integrability_matches_recorded_digests(tmp_path):
+    # The smoke commands run at N=8; the bracket kernels must also be bitwise at full size.
+    runs = _recorded_digests()
+    cmds = _load("workloads").build("integrability", 3, str(tmp_path))
+    _assert_digests(cmds, runs["full/integrability/3"])
