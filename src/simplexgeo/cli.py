@@ -38,13 +38,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import checks
-from .connections import EGeodesic, e_connection_residual, make_e_geodesic
+from .connections import EGeodesic, e_geodesic_residual_rows, make_e_geodesic
 from .errors import ConfigError, ParseError, SimplexGeoError
 from .flows import (
     LinearObjective,
     Trajectory,
-    curve_rows,
-    flow_closed_form,
     flow_trajectory,
     gradient_vector_field,
     integrate_rk4,
@@ -69,6 +67,7 @@ from .sequence_core import (
     check_exponent,
     make_simplex_point,
     make_tangent,
+    softmax_rows,
 )
 
 #: Most negative step-to-step objective change a ``flow`` trajectory may show.
@@ -125,6 +124,13 @@ class RunConfig:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.out_path is not None:
+            # Rejected before any compute, so a bad --out neither wastes a run nor leaves a temp file.
+            if os.path.isdir(self.out_path):
+                raise ConfigError(f"out_path {self.out_path!r} is a directory")
+            parent = os.path.dirname(os.path.abspath(self.out_path))
+            if not os.path.isdir(parent):
+                raise ConfigError(f"out_path {self.out_path!r}: directory {parent!r} does not exist")
         check_exponent(self.q)
         for name in ("t_max", "dt", "tol"):
             val = getattr(self, name)
@@ -280,8 +286,7 @@ def _cmd_flow(
 def _cmd_geodesic(
     cfg: RunConfig, obj: LinearObjective | None, _p0, geo: EGeodesic, times: np.ndarray
 ) -> tuple[str, bool]:
-    rows = curve_rows(geo, times, geo.p0.dim)
-    residuals = np.array([float(np.abs(e_connection_residual(geo, t)).sum()) for t in times])
+    rows, residuals = e_geodesic_residual_rows(geo, times)
     traj = Trajectory(times, rows, obj, residuals)
     worst = float(residuals.max())
     passed = worst <= GEODESIC_RESIDUAL_TOL
@@ -307,7 +312,7 @@ def _cmd_lp(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tuple
     probes = None
     if cfg.format == "csv":
         times, distances = np.array(report.probes).T
-        rows = curve_rows(lambda t: flow_closed_form(obj, p0, t), times, obj.dim)
+        rows = softmax_rows(p0, obj.c, times)
         probes = Trajectory(times, rows, obj, distances)
     out = _emit(cfg, payload, probes)
     rate = "none" if report.rate is None else f"{report.rate:.4g}"

@@ -25,12 +25,15 @@ from .errors import (
 from .sequence_core import (
     SimplexPoint,
     TangentVector,
+    _SOFTMAX_BLOCK,
     _read_only,
     _require_finite,
+    _softmax_block,
     check_exponent,
     make_tangent,
     same_point,
     softmax_curve,
+    softmax_rows,
 )
 
 #: Finite-difference steps: fields are smooth in p, curves in t.
@@ -124,6 +127,18 @@ def _eval_curve(curve: Curve, s: float) -> SimplexPoint:
     return pt
 
 
+def _e_covariant(p_t: np.ndarray, ratio_plus: np.ndarray, ratio_minus: np.ndarray) -> np.ndarray:
+    """p (dg - <p, dg>) with dg = (ratio_plus - ratio_minus) / 2h, for one row or each row of a block.
+
+    ``ratio_plus`` and ``ratio_minus`` are W / p at t + h and t - h; each
+    row's pairing is its own ``np.dot``, as the one-row case computes it.
+    """
+    dg = (ratio_plus - ratio_minus) / (2.0 * CURVE_STEP)
+    n = dg.shape[-1]
+    dots = np.array([np.dot(p, g) for p, g in zip(p_t.reshape(-1, n), dg.reshape(-1, n))])
+    return p_t * (dg - dots.reshape(dg.shape[:-1] + (1,)))
+
+
 def e_covariant_along_curve(
     curve: Curve, vectors: Callable[[float], np.ndarray], t: float
 ) -> np.ndarray:
@@ -139,8 +154,7 @@ def e_covariant_along_curve(
     with np.errstate(over="ignore", invalid="ignore"):
         ratio_plus = vectors(t + h) / _eval_curve(curve, t + h).coords
         ratio_minus = vectors(t - h) / _eval_curve(curve, t - h).coords
-        dg = (ratio_plus - ratio_minus) / (2.0 * h)
-        out = p_t * (dg - float(np.dot(p_t, dg)))
+        out = _e_covariant(p_t, ratio_plus, ratio_minus)
     if not np.all(np.isfinite(out)):
         raise CurveDomain(f"e-connection derivative is not finite at t = {t}")
     return out
@@ -202,3 +216,43 @@ def e_geodesic_eval(g: EGeodesic, t: float) -> SimplexPoint:
     with an exact unit sum even at |t| = 1e4.
     """
     return softmax_curve(g.p0, g.a, t)
+
+
+def e_geodesic_residual_rows(geo: EGeodesic, times) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(T, N)`` rows of an e-geodesic and the l1 norm of its residual at each time.
+
+    Row i is bitwise ``geo(times[i]).coords`` and residual i is bitwise
+    ``float(np.abs(e_connection_residual(geo, times[i])).sum())``: the six
+    other curve points each residual reads (t +- h and both of those +- h,
+    by the same float additions) come from ``_softmax_block`` in blocks
+    of at most ``_SOFTMAX_BLOCK`` coordinates.  As in a loop that builds
+    every row before any residual, a failing row raises first; a block
+    with a failing point or a residual that is not finite is redone by
+    :func:`e_connection_residual` in time order, which raises its error.
+    """
+    times = np.asarray(times, dtype=float)
+    rows = softmax_rows(geo.p0, geo.a, times)
+    h = CURVE_STEP
+    log_p0 = np.log(geo.p0.coords)
+    n = geo.p0.dim
+    residuals = np.empty(times.size)
+    step = max(1, _SOFTMAX_BLOCK // (6 * n))
+    for lo in range(0, times.size, step):
+        t = times[lo : lo + step]
+        plus, minus = t + h, t - h
+        shifted = np.concatenate((plus + h, plus - h, plus, minus + h, minus - h, minus))
+        block = _softmax_block(log_p0, geo.a, shifted)
+        out = None
+        if block is not None:
+            pp, pm, p, mp, mm, m = block.reshape(6, t.size, n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio_plus = (pp - pm) / (2.0 * h) / p
+                ratio_minus = (mp - mm) / (2.0 * h) / m
+                out = _e_covariant(rows[lo : lo + t.size], ratio_plus, ratio_minus)
+        if out is not None and np.isfinite(out).all():
+            residuals[lo : lo + t.size] = np.abs(out).sum(axis=1)
+        else:
+            residuals[lo : lo + t.size] = [
+                float(np.abs(e_connection_residual(geo, s)).sum()) for s in t
+            ]
+    return rows, residuals

@@ -36,6 +36,7 @@ from .sequence_core import (
     _require_finite,
     make_tangent,
     softmax_curve,
+    softmax_rows,
 )
 
 #: Horizon cap for the closed-form solver's doubling schedule.
@@ -253,11 +254,15 @@ class LpReport:
         return {**asdict(self), "rate_rel_err": self.rate_rel_err}
 
 
-def _vertex_distance(obj: LinearObjective, p0: SimplexPoint, t: float) -> float:
-    p = flow_closed_form(obj, p0, t).coords
-    e0 = np.zeros_like(p)
+def _vertex_gaps(rows: np.ndarray) -> np.ndarray:
+    """l1 distance of a point, or of each row of a block, to the vertex e_0."""
+    e0 = np.zeros(rows.shape[-1])
     e0[0] = 1.0
-    return float(np.abs(p - e0).sum())
+    return np.abs(rows - e0).sum(axis=-1)
+
+
+def _vertex_distance(obj: LinearObjective, p0: SimplexPoint, t: float) -> float:
+    return float(_vertex_gaps(flow_closed_form(obj, p0, t).coords))
 
 
 def _crossing_time(
@@ -284,7 +289,7 @@ def _fit_rate(obj: LinearObjective, p0: SimplexPoint, tol: float, t_hi_bracket: 
     if not t_lo > t_hi:
         return None
     ts = np.linspace(t_hi, t_lo, 50)
-    ds = np.array([_vertex_distance(obj, p0, t) for t in ts])
+    ds = _vertex_gaps(softmax_rows(p0, obj.c, ts))
     if np.any(ds <= 0.0):
         return None
     slope = np.polyfit(ts, np.log(ds), 1)[0]

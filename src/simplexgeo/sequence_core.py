@@ -30,6 +30,8 @@ from .errors import (
 
 #: Smallest positive normal double; underflow flush target for softmax curves.
 TINY = float(np.finfo(float).tiny)
+#: Most coordinates one block of softmax rows holds (whole rows, at least one).
+_SOFTMAX_BLOCK = 2**16
 
 
 def membership_tol(dim: int) -> float:
@@ -386,11 +388,13 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
     w = np.exp(s - s.max())
     x = w / w.sum()
     x = np.maximum(x, TINY)
-    order = np.argsort(x)
+    order = None
     for _ in range(6):
         d = 1.0 - float(x.sum())
         if d == 0.0:
             return x
+        if order is None:  # the order of x before any bump, sorted only when the sum misses 1.0
+            order = np.argsort(x)
         moved = False
         for j in order:
             old = x[j]
@@ -414,6 +418,65 @@ def softmax_curve(p0: SimplexPoint, a: np.ndarray, t: float) -> SimplexPoint:
     if not math.isfinite(t):
         raise NonFiniteInput(f"time {t} is not finite")
     return SimplexPoint(softmax_coords(np.log(p0.coords) + a * t))
+
+
+def _softmax_block(log_p0: np.ndarray, a: np.ndarray, times: np.ndarray) -> np.ndarray | None:
+    """Rows softmax(log p0 + a t) for each t of the 1-D ``times``, each bitwise
+    :func:`softmax_curve`'s coordinates, or None if a log-weight is not finite.
+
+    The whole block is centred, exponentiated, divided and flushed to
+    ``TINY`` at once.  A row whose sum misses 1.0 then gets the scalar
+    loop's first trial: its residue goes to the smallest coordinate it
+    moves, which is the first such coordinate in sorted order when no
+    other coordinate ties with it.  A row that this does not land on
+    exactly 1.0, or whose candidate is tied, is redone by
+    :func:`softmax_coords`, the one home of the fix-up.  Every row then
+    passes :class:`SimplexPoint`'s rule, as the scalar path's rows do: its
+    coordinates are at least ``TINY``, and its sum starts a few ulps per
+    coordinate from 1 and only moves closer.  On None the caller replays
+    the scalar path, which raises the error of the first bad row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = log_p0 + a * times[:, None]
+    if not np.isfinite(s).all():
+        return None
+    w = np.exp(s - s.max(axis=1, keepdims=True))
+    x = w / w.sum(axis=1, keepdims=True)
+    np.maximum(x, TINY, out=x)
+    miss = np.flatnonzero(x.sum(axis=1) != 1.0)
+    if miss.size:
+        xm = x[miss]
+        bumped = xm + (1.0 - xm.sum(axis=1))[:, None]
+        moves = np.where((bumped > 0.0) & (bumped != xm), xm, np.inf)
+        j = moves.argmin(axis=1)
+        r = np.arange(miss.size)
+        alone = (moves == moves[r, j][:, None]).sum(axis=1) == 1
+        xm[r, j] = bumped[r, j]
+        settled = alone & (xm.sum(axis=1) == 1.0)
+        x[miss[settled]] = xm[settled]
+        for i in miss[~settled]:
+            x[i] = softmax_coords(s[i])
+    return x
+
+
+def softmax_rows(p0: SimplexPoint, a: np.ndarray, times) -> np.ndarray:
+    """The ``(T, N)`` rows of softmax(log p0 + a t), each bitwise ``softmax_curve(p0, a, t).coords``.
+
+    Computed by :func:`_softmax_block` in blocks of at most
+    ``_SOFTMAX_BLOCK`` coordinates.  A block with a failing row is redone
+    by :func:`softmax_curve` in time order, which raises that row's error.
+    """
+    times = np.asarray(times, dtype=float)
+    log_p0 = np.log(p0.coords)
+    rows = np.empty((times.size, p0.dim))
+    step = max(1, _SOFTMAX_BLOCK // p0.dim)
+    for lo in range(0, times.size, step):
+        chunk = times[lo : lo + step]
+        block = _softmax_block(log_p0, a, chunk)
+        if block is None:
+            block = [softmax_curve(p0, a, t).coords for t in chunk]
+        rows[lo : lo + chunk.size] = block
+    return rows
 
 
 # ---------------------------------------------------------------------------

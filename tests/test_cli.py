@@ -189,8 +189,10 @@ class TestOtherCommands:
                      "--v0", "explicit:1e6,-5e5,-5e5", "--t-max", "1", "--dt", "0.5",
                      "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "error in simplexgeo.connections" in err and "not finite" in err
+        assert capsys.readouterr().err == (
+            "geodesic dim=3 error in simplexgeo.connections.e_covariant_along_curve: "
+            "e-connection derivative is not finite at t = 0.0\n"
+        )
         assert not recwarn.list
         assert not out.exists()
 
@@ -390,20 +392,30 @@ class TestRejectedInputs:
             (None, FLOW + ["--t-max", "1e300", "--dt", "1e-300"], "grid rows"),
             (None, FLOW + ["--t-max", "1e12", "--dt", "1"], "grid rows"),
             (None, FLOW + ["--t-max", "1e12", "--dt", "1", "--method", "rk4"], "grid rows"),
+            (None, ["check-all", "--dim", "4", "--out", "MISSING/a.json"],
+             "missing' does not exist"),
+            (None, ["isometry", "--dim", "4", "--out", "DIR"], "is a directory"),
         ],
         ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
              "v0-without-p0", "geodesic-lossy-p0", "grid-dt-1e-300", "grid-ratio-overflows",
-             "grid-1e12-rows", "grid-1e12-rows-rk4"],
+             "grid-1e12-rows", "grid-1e12-rows-rk4", "out-parent-missing", "out-is-directory"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_file))
+        (tmp_path / "dir").mkdir()
         out = tmp_path / "out.json"
-        argv = [f"file:{path}" if a == "FILE" else a for a in argv]
-        assert main(argv + ["--out", str(out)]) == 2
+        places = {"FILE": f"file:{path}", "DIR": str(tmp_path / "dir"),
+                  "MISSING/a.json": str(tmp_path / "missing" / "a.json")}
+        argv = [places.get(a, a) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
-        assert not out.exists()
+        # Nothing is computed or written: no output, no temp file, no new directory.
+        assert sorted(os.listdir(tmp_path)) == ["dir", "spec.json"]
+        assert os.listdir(tmp_path / "dir") == []
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--t-max", "1", "--dt", "0.1"],

@@ -118,3 +118,11 @@ def test_full_size_integrability_matches_recorded_digests(tmp_path):
     runs = _recorded_digests()
     cmds = _load("workloads").build("integrability", 3, str(tmp_path))
     _assert_digests(cmds, runs["full/integrability/3"])
+
+
+def test_full_size_softmax_kernels_match_recorded_digests(tmp_path):
+    # The smoke commands run at N=8, which hardly reaches the fix-up trial or a block
+    # boundary; the geodesic (N=64, 1001 rows) and lp (N=1024) kernels run here at full size.
+    runs = _recorded_digests()
+    cmds = _load("workloads").build("trajectory", 3, str(tmp_path))
+    _assert_digests([c for c in cmds if c.argv[0] in ("geodesic", "lp")], runs["full/trajectory/3"])
