@@ -25,6 +25,7 @@ modulo a JSON timestamp that ``--no-timestamp`` suppresses.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -187,12 +188,14 @@ def parse_sequence_spec(text: str, dim: int) -> SequenceSpec:
 # ---------------------------------------------------------------------------
 
 
-def _write_atomic(path: str, payload: str) -> None:
+def _write_atomic(path: str, chunks: typing.Iterable[str]) -> None:
+    """Write the strings of ``chunks`` to a temp file beside ``path``, then rename it
+    onto ``path``; on any exception, including one raised by ``chunks``, remove it."""
     parent = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".simplexgeo-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -200,24 +203,24 @@ def _write_atomic(path: str, payload: str) -> None:
         raise
 
 
-def _trajectory_csv(traj: Trajectory) -> str:
-    header = "t," + ",".join(f"p_{i}" for i in range(traj.coords.shape[1]))
-    rows = [header + ",objective,residual_l1"]
+def _trajectory_csv(traj: Trajectory) -> typing.Iterator[str]:
+    """The CSV text of ``traj``, one line at a time."""
+    dim = traj.coords.shape[1]
+    yield "t," + ",".join(f"p_{i}" for i in range(dim)) + ",objective,residual_l1\n"
     values = np.full(len(traj), np.nan) if traj.objective is None else traj.objective
     columns = (traj.times.tolist(), traj.coords, values.tolist(), traj.residual_l1.tolist())
     for t, row, f, r in zip(*columns):
         # tolist() gives Python floats, whose repr is the shortest round trip.
-        rows.append(",".join(map(repr, [t, *row.tolist(), f, r])))
-    return "\n".join(rows) + "\n"
+        yield ",".join(map(repr, [t, *row.tolist(), f, r])) + "\n"
 
 
 def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
-    """Write the output to ``--out`` or ``<command>.<ext>`` and return its path:
+    """Stream the output to ``--out`` or ``<command>.<ext>`` and return its path:
     CSV for a trajectory unless ``--format json``, JSON for everything else."""
     as_csv = traj is not None and cfg.format != "json"
     path = cfg.out_path or f"{cfg.command}.{'csv' if as_csv else 'json'}"
     if as_csv:
-        payload = _trajectory_csv(traj)
+        chunks = _trajectory_csv(traj)
     else:
         if traj is not None:
             report = {
@@ -229,8 +232,10 @@ def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
             }
         if cfg.timestamp:
             report = {**report, "timestamp": time.time()}
-        payload = json.dumps(report, sort_keys=True, indent=1) + "\n"
-    _write_atomic(path, payload)
+        # The chunks json.dumps would join, so the bytes are the same.
+        encoder = json.JSONEncoder(sort_keys=True, indent=1)
+        chunks = itertools.chain(encoder.iterencode(report), ["\n"])
+    _write_atomic(path, chunks)
     return path
 
 
@@ -438,27 +443,29 @@ def run(cfg: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Every command takes the same options, declared once on a parent parser.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--dim", type=int)
+    common.add_argument("--c", dest="c_spec")
+    common.add_argument("--p0", dest="p0_spec")
+    common.add_argument("--v0", dest="v0_spec")
+    common.add_argument("--q", type=float)
+    common.add_argument("--t-max", dest="t_max", type=float)
+    common.add_argument("--dt", type=float)
+    common.add_argument("--tol", type=float)
+    common.add_argument("--method", choices=("closed", "rk4"))
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out", dest="out_path")
+    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--no-timestamp", action="store_true")
+    common.add_argument("--config", dest="config_path")
     parser = argparse.ArgumentParser(
         prog="simplexgeo",
         description="Fisher-Rao flows and geometry on truncated probability simplices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--dim", type=int)
-        p.add_argument("--c", dest="c_spec")
-        p.add_argument("--p0", dest="p0_spec")
-        p.add_argument("--v0", dest="v0_spec")
-        p.add_argument("--q", type=float)
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--method", choices=("closed", "rk4"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", dest="out_path")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--no-timestamp", action="store_true")
-        p.add_argument("--config", dest="config_path")
+        sub.add_parser(name, parents=[common])
     return parser
 
 

@@ -417,7 +417,10 @@ def softmax_curve(p0: SimplexPoint, a: np.ndarray, t: float) -> SimplexPoint:
     """Point softmax(log p0 + a t), for any finite t, of an e-geodesic or flow."""
     if not math.isfinite(t):
         raise NonFiniteInput(f"time {t} is not finite")
-    return SimplexPoint(softmax_coords(np.log(p0.coords) + a * t))
+    # An overflowing a t is reported by softmax_coords's typed error alone.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.log(p0.coords) + a * t
+    return SimplexPoint(softmax_coords(s))
 
 
 def _softmax_block(log_p0: np.ndarray, a: np.ndarray, times: np.ndarray) -> np.ndarray | None:

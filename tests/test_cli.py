@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from simplexgeo.cli import (
     RunConfig,
+    _build_parser,
     _emit,
     _write_atomic,
     config_from_args,
@@ -312,6 +314,115 @@ class TestAtomicity:
         code = main(FLOW_ARGS + ["--out", str(target)])
         assert code == 1
         assert not target.exists()
+
+    def test_failing_chunks_leave_nothing(self, tmp_path):
+        target = tmp_path / "out.csv"
+
+        def chunks():
+            yield "t,p_0,p_1,objective,residual_l1\n"
+            raise OSError("simulated crash")
+
+        with pytest.raises(OSError, match="simulated crash"):
+            _write_atomic(str(target), chunks())
+        assert os.listdir(tmp_path) == []
+
+
+class TestStreamedEmission:
+    """Emission holds about one row at a time, whatever the number of rows."""
+
+    @staticmethod
+    def peak_bytes(tmp_path, fmt):
+        rng = np.random.default_rng(0)
+        rows, dim = 1001, 256
+        traj = Trajectory(np.linspace(0.0, 10.0, rows), rng.dirichlet(np.ones(dim), rows),
+                          LinearObjective(rng.uniform(size=dim)), rng.uniform(size=rows))
+        cfg = RunConfig("flow", format=fmt, timestamp=False, out_path=str(tmp_path / "t.out"))
+        tracemalloc.start()
+        try:
+            _emit(cfg, {"command": "flow", "pass": True}, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "t.out").stat().st_size > 5 * 2**20
+        return peak
+
+    def test_csv_peak_is_one_row(self, tmp_path):
+        # Joining the rows into one string peaked at about 17 MB here.
+        assert self.peak_bytes(tmp_path, "csv") < 2**20
+
+    def test_json_peak_is_the_float_lists(self, tmp_path):
+        # What remains is the block's tolist(), about 8 MB; json.dumps peaked at about 37 MB.
+        assert self.peak_bytes(tmp_path, "json") < 12 * 2**20
+
+
+ALL_OPTIONS = [
+    "--dim", "4", "--c", "uniform", "--p0", "geometric:0.5", "--v0", "explicit:1,-1",
+    "--q", "3", "--t-max", "2", "--dt", "0.1", "--tol", "1e-3", "--method", "rk4",
+    "--seed", "3", "--out", "x.csv", "--format", "csv", "--no-timestamp", "--config", "c.json",
+]
+
+TOP_HELP = """\
+usage: simplexgeo [-h]
+                  {flow,geodesic,lp,isometry,bracket,integrability,check-all}
+                  ...
+
+Fisher-Rao flows and geometry on truncated probability simplices
+
+positional arguments:
+  {flow,geodesic,lp,isometry,bracket,integrability,check-all}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+FLOW_HELP = """\
+usage: simplexgeo flow [-h] [--dim DIM] [--c C_SPEC] [--p0 P0_SPEC]
+                       [--v0 V0_SPEC] [--q Q] [--t-max T_MAX] [--dt DT]
+                       [--tol TOL] [--method {closed,rk4}] [--seed SEED]
+                       [--out OUT_PATH] [--format {csv,json}] [--no-timestamp]
+                       [--config CONFIG_PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --dim DIM
+  --c C_SPEC
+  --p0 P0_SPEC
+  --v0 V0_SPEC
+  --q Q
+  --t-max T_MAX
+  --dt DT
+  --tol TOL
+  --method {closed,rk4}
+  --seed SEED
+  --out OUT_PATH
+  --format {csv,json}
+  --no-timestamp
+  --config CONFIG_PATH
+"""
+
+
+class TestParser:
+    COMMANDS = ["flow", "geodesic", "lp", "isometry", "bracket", "integrability", "check-all"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_takes_every_option(self, command):
+        assert vars(_build_parser().parse_args([command, *ALL_OPTIONS])) == {
+            "command": command, "dim": 4, "c_spec": "uniform", "p0_spec": "geometric:0.5",
+            "v0_spec": "explicit:1,-1", "q": 3.0, "t_max": 2.0, "dt": 0.1, "tol": 1e-3,
+            "method": "rk4", "seed": 3, "out_path": "x.csv", "format": "csv",
+            "no_timestamp": True, "config_path": "c.json",
+        }
+        unset = vars(_build_parser().parse_args([command]))
+        assert unset.pop("command") == command and unset.pop("no_timestamp") is False
+        assert set(unset.values()) == {None} and len(unset) == 13
+
+    @pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP), (["flow", "-h"], FLOW_HELP)])
+    def test_help_text(self, capsys, monkeypatch, argv, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            _build_parser().parse_args(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == text
 
 
 class TestRunConfigValidation:
