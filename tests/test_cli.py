@@ -347,11 +347,11 @@ class TestStreamedEmission:
         return peak
 
     def test_csv_peak_is_one_row(self, tmp_path):
-        # Joining the rows into one string peaked at about 17 MB here.
+        # A writer that joins the rows into one string peaks at about 17 MB here.
         assert self.peak_bytes(tmp_path, "csv") < 2**20
 
     def test_json_peak_is_the_float_lists(self, tmp_path):
-        # What remains is the block's tolist(), about 8 MB; json.dumps peaked at about 37 MB.
+        # The block's tolist() is about 8 MB; encoding it with json.dumps peaks at about 37 MB.
         assert self.peak_bytes(tmp_path, "json") < 12 * 2**20
 
 
