@@ -40,7 +40,7 @@ import numpy as np
 
 from . import checks
 from .connections import EGeodesic, e_geodesic_residual_rows, make_e_geodesic
-from .errors import ConfigError, ParseError, SimplexGeoError
+from .errors import ConfigError, NonFiniteOutput, ParseError, SimplexGeoError
 from .flows import (
     LinearObjective,
     Trajectory,
@@ -204,7 +204,17 @@ def _write_atomic(path: str, chunks: typing.Iterable[str]) -> None:
 
 
 def _trajectory_csv(traj: Trajectory) -> typing.Iterator[str]:
-    """The CSV text of ``traj``, one line at a time."""
+    """The CSV text of ``traj``, one line at a time.
+
+    Like ``json``'s ``allow_nan=False``, it raises ``ValueError`` before
+    the first line if a cell would be NaN or infinite; the one exception
+    is the ``nan`` that fills the objective column of a run without one.
+    """
+    columns = [traj.times, traj.coords, traj.residual_l1]
+    if traj.objective is not None:
+        columns.append(traj.objective)
+    if not all(np.isfinite(column).all() for column in columns):
+        raise ValueError("a trajectory cell is NaN or infinite")
     dim = traj.coords.shape[1]
     yield "t," + ",".join(f"p_{i}" for i in range(dim)) + ",objective,residual_l1\n"
     values = np.full(len(traj), np.nan) if traj.objective is None else traj.objective
@@ -214,9 +224,28 @@ def _trajectory_csv(traj: Trajectory) -> typing.Iterator[str]:
         yield ",".join(map(repr, [t, *row.tolist(), f, r])) + "\n"
 
 
+class _RowLists(list):
+    """The rows of a ``(T, N)`` block as the JSON encoder sees them: a list whose
+    items are made lists of floats one at a time, as the encoder reaches them."""
+
+    def __init__(self, block: np.ndarray):
+        super().__init__()
+        self.block = block
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __iter__(self) -> typing.Iterator[list]:
+        return (row.tolist() for row in self.block)
+
+
 def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
     """Stream the output to ``--out`` or ``<command>.<ext>`` and return its path:
-    CSV for a trajectory unless ``--format json``, JSON for everything else."""
+    CSV for a trajectory unless ``--format json``, JSON for everything else.
+
+    A NaN or infinite value is refused with :class:`NonFiniteOutput`, and
+    no file is left.
+    """
     as_csv = traj is not None and cfg.format != "json"
     path = cfg.out_path or f"{cfg.command}.{'csv' if as_csv else 'json'}"
     if as_csv:
@@ -225,7 +254,7 @@ def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
         if traj is not None:
             report = {
                 "times": traj.times.tolist(),
-                "points": traj.coords.tolist(),
+                "points": _RowLists(traj.coords),
                 "objective": None if traj.objective is None else traj.objective.tolist(),
                 "residual_l1": traj.residual_l1.tolist(),
                 "report": report,
@@ -233,9 +262,13 @@ def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
         if cfg.timestamp:
             report = {**report, "timestamp": time.time()}
         # The chunks json.dumps would join, so the bytes are the same.
-        encoder = json.JSONEncoder(sort_keys=True, indent=1)
+        encoder = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False)
         chunks = itertools.chain(encoder.iterencode(report), ["\n"])
-    _write_atomic(path, chunks)
+    try:
+        _write_atomic(path, chunks)
+    except ValueError:
+        # allow_nan=False, or _trajectory_csv, met a value that is NaN or infinite.
+        raise NonFiniteOutput("an output value is NaN or infinite; no file was written") from None
     return path
 
 
@@ -274,7 +307,8 @@ def _cmd_flow(
         traj = flow_trajectory(obj, p0, times)
     else:
         traj = integrate_rk4(gradient_vector_field(obj), p0, cfg.t_max, cfg.dt, objective=obj)
-    drops = float(np.diff(traj.objective).min()) if len(traj) > 1 else 0.0
+    with np.errstate(over="ignore"):  # an increment beyond the float range is refused by _emit
+        drops = float(np.diff(traj.objective).min()) if len(traj) > 1 else 0.0
     passed = drops >= FLOW_MIN_INCREMENT
     report = {
         "command": "flow",

@@ -205,7 +205,10 @@ def make_e_geodesic(p0: SimplexPoint, v0: TangentVector) -> EGeodesic:
         raise BaseMismatch("initial velocity is attached to a different point")
     if p0.tail_bound != 0.0:
         raise LossyTruncation("geodesics start from exact (tail_bound = 0) points")
-    return EGeodesic(p0, v0.comps / p0.coords)
+    # An overflowing ratio is reported by EGeodesic's typed error alone.
+    with np.errstate(over="ignore"):
+        a = v0.comps / p0.coords
+    return EGeodesic(p0, a)
 
 
 def e_geodesic_eval(g: EGeodesic, t: float) -> SimplexPoint:

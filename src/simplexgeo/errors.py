@@ -110,3 +110,7 @@ class RatioOutOfRange(SimplexGeoError):
 
 class ConfigError(SimplexGeoError):
     """A run configuration is missing fields or fails schema validation."""
+
+
+class NonFiniteOutput(SimplexGeoError):
+    """A value to be written to an output file is NaN or infinite."""

@@ -70,8 +70,8 @@ class LinearObjective:
 
     @property
     def gap(self) -> float:
-        """Spectral gap c_0 - c_1 governing the convergence rate."""
-        return float(self.c[0] - self.c[1])
+        """Spectral gap c_0 - c_1 governing the convergence rate (inf when it overflows)."""
+        return float(self.c[0]) - float(self.c[1])
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,9 @@ def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -
     """Closed-form flow sampled on a time grid, with per-step ODE residuals."""
     times = np.asarray(times, dtype=float)
     rows = curve_rows(lambda t: flow_closed_form(obj, p0, t), times, obj.dim)
-    residuals = np.array([flow_ode_residual(obj, p0, t) for t in times])
+    # A field whose <c, p> overflows is reported by make_tangent's typed error alone.
+    with np.errstate(over="ignore"):
+        residuals = np.array([flow_ode_residual(obj, p0, t) for t in times])
     return Trajectory(times, rows, obj, residuals)
 
 
@@ -205,24 +207,26 @@ def integrate_rk4(
     rows = np.empty((times.size, p0.dim))
     rows[0] = p0.coords
     drifts = np.zeros(times.size)
-    for i in range(1, times.size):
-        # k1 is taken at the accepted point itself; only the three inner stages build points.
-        coords = point.coords
-        try:
-            k1 = field_fn(point).comps
-            k2 = field_fn(SimplexPoint(coords + 0.5 * dt * k1, tail_bound=tail)).comps
-            k3 = field_fn(SimplexPoint(coords + 0.5 * dt * k2, tail_bound=tail)).comps
-            k4 = field_fn(SimplexPoint(coords + dt * k3, tail_bound=tail)).comps
-        except NonPositiveCoordinate as exc:
-            raise PositivityLost("an RK4 stage left the open simplex; shrink dt") from exc
-        coords = coords + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = float(coords.sum())
-        drifts[i] = abs(1.0 - s)
-        coords = coords / s
-        if not (coords > 0.0).all():
-            raise PositivityLost("an RK4 step left the open simplex; shrink dt")
-        point = SimplexPoint(coords, tail_bound=tail)
-        rows[i] = point.coords
+    # A stage that overflows leaves the simplex, which the point checks report as typed errors.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, times.size):
+            # k1 is taken at the accepted point itself; only the three inner stages build points.
+            coords = point.coords
+            try:
+                k1 = field_fn(point).comps
+                k2 = field_fn(SimplexPoint(coords + 0.5 * dt * k1, tail_bound=tail)).comps
+                k3 = field_fn(SimplexPoint(coords + 0.5 * dt * k2, tail_bound=tail)).comps
+                k4 = field_fn(SimplexPoint(coords + dt * k3, tail_bound=tail)).comps
+            except NonPositiveCoordinate as exc:
+                raise PositivityLost("an RK4 stage left the open simplex; shrink dt") from exc
+            coords = coords + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            s = float(coords.sum())
+            drifts[i] = abs(1.0 - s)
+            coords = coords / s
+            if not (coords > 0.0).all():
+                raise PositivityLost("an RK4 step left the open simplex; shrink dt")
+            point = SimplexPoint(coords, tail_bound=tail)
+            rows[i] = point.coords
     return Trajectory(times, rows, objective, drifts)
 
 

@@ -15,15 +15,11 @@ import numpy as np
 from .errors import (
     DegenerateEndpoints,
     DimensionMismatch,
-    ExponentNotTwo,
     InvalidParameter,
-    LengthMismatch,
     LossyTruncation,
 )
 from .sequence_core import (
     SimplexPoint,
-    SpherePoint,
-    SphereTangent,
     TangentVector,
     check_exponent,
     lq_norm,
@@ -67,17 +63,6 @@ def finsler_norm(v: TangentVector, q: float) -> float:
     check_exponent(q)
     p = v.base.coords
     return lq_norm(v.comps * p ** ((1.0 - q) / q), q)
-
-
-def sphere_project(x: SpherePoint, raw) -> SphereTangent:
-    """Orthogonal projection onto the tangent space of the round sphere."""
-    if x.q != 2.0:
-        raise ExponentNotTwo(f"tangential projection needs q = 2, got {x.q}")
-    a = np.asarray(raw, dtype=float)
-    if a.size != x.dim:
-        raise LengthMismatch(f"raw vector has length {a.size}, point has dim {x.dim}")
-    comps = a - float(np.dot(a, x.coords)) * x.coords
-    return SphereTangent(x, comps)
 
 
 def fr_distance(p: SimplexPoint, r: SimplexPoint) -> float:

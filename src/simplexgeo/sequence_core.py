@@ -385,7 +385,9 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(log_weights, dtype=float)
     _require_finite(s, "log-weight vector")
-    w = np.exp(s - s.max())
+    # A span beyond the float range centres to -inf, whose exp is 0 and is flushed below.
+    with np.errstate(over="ignore"):
+        w = np.exp(s - s.max())
     x = w / w.sum()
     x = np.maximum(x, TINY)
     order = None
@@ -441,9 +443,9 @@ def _softmax_block(log_p0: np.ndarray, a: np.ndarray, times: np.ndarray) -> np.n
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = log_p0 + a * times[:, None]
-    if not np.isfinite(s).all():
-        return None
-    w = np.exp(s - s.max(axis=1, keepdims=True))
+        if not np.isfinite(s).all():
+            return None
+        w = np.exp(s - s.max(axis=1, keepdims=True))  # centred as in softmax_coords
     x = w / w.sum(axis=1, keepdims=True)
     np.maximum(x, TINY, out=x)
     miss = np.flatnonzero(x.sum(axis=1) != 1.0)

@@ -17,7 +17,7 @@ from simplexgeo.cli import (
     parse_sequence_spec,
     run,
 )
-from simplexgeo.errors import ConfigError, ParseError, RatioOutOfRange
+from simplexgeo.errors import ConfigError, NonFiniteOutput, ParseError, RatioOutOfRange
 from simplexgeo.flows import LinearObjective, Trajectory
 from simplexgeo.sequence_core import TINY
 
@@ -351,8 +351,58 @@ class TestStreamedEmission:
         assert self.peak_bytes(tmp_path, "csv") < 2**20
 
     def test_json_peak_is_the_float_lists(self, tmp_path):
-        # The block's tolist() is about 8 MB; encoding it with json.dumps peaks at about 37 MB.
-        assert self.peak_bytes(tmp_path, "json") < 12 * 2**20
+        # Only one row at a time is a float list; the block's tolist() alone is about 8 MB.
+        assert self.peak_bytes(tmp_path, "json") < 2**20
+
+
+class TestNearTheFloatRange:
+    """Finite inputs near the float range: no numpy warning, no non-finite number in a file."""
+
+    def test_log_weight_span_beyond_the_range(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "flow.csv"
+        code = main(["flow", "--dim", "2", "--c", "explicit:1e308,-1e308", "--p0", "uniform",
+                     "--t-max", "1", "--dt", "0.5", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr() == (f"flow dim=2 final_objective=1e+308 out={out} pass\n", "")
+        assert not recwarn.list
+        assert out.read_text() == (
+            "t,p_0,p_1,objective,residual_l1\n"
+            "0.0,0.5,0.5,0.0,1e+308\n"
+            "0.5,1.0,2.2250738585072014e-308,1e+308,4.450147717014403\n"
+            "1.0,1.0,2.2250738585072014e-308,1e+308,4.450147717014403\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["flow", "--dim", "2", "--c", "explicit:1e300,-1e300", "--p0", "uniform",
+              "--t-max", "1e9", "--dt", "1e8"],
+             "flow dim=2 error in simplexgeo.sequence_core._require_finite: "
+             "log-weight vector contains NaN or infinity\n"),
+            (["lp", "--dim", "3", "--c", "explicit:1e308,-1e308,0", "--p0", "uniform",
+              "--tol", "1e-8"],
+             "lp dim=3 error in simplexgeo.cli._emit: "
+             "an output value is NaN or infinite; no file was written\n"),
+            (["integrability", "--dim", "3", "--c", "explicit:1e308,1e307,1", "--seed", "1"],
+             "integrability dim=3 error in simplexgeo.sequence_core._require_finite: "
+             "coordinate vector contains NaN or infinity\n"),
+        ],
+        ids=["flow-exponent-overflows", "lp-gap-overflows", "integrability-phase-overflows"],
+    )
+    def test_typed_error_alone(self, tmp_path, capsys, recwarn, argv, err):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert not recwarn.list
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_refuses_a_non_finite_cell(self, tmp_path, fmt):
+        traj = Trajectory(np.array([0.0, 1.0]), np.full((2, 2), 0.5), None,
+                          np.array([0.0, np.inf]))
+        cfg = RunConfig("flow", format=fmt, out_path=str(tmp_path / "t.out"))
+        with pytest.raises(NonFiniteOutput):
+            _emit(cfg, {"command": "flow"}, traj)
+        assert os.listdir(tmp_path) == []
 
 
 ALL_OPTIONS = [

@@ -15,11 +15,9 @@ from simplexgeo.hamiltonian import (
     ComplexPoint,
     CoordinateImag,
     CoordinateReal,
-    ProjectivePoint,
     QuadraticHamiltonian,
     bracket_max,
     brackets_vanish,
-    canonical_gauge,
     coordinate_hamiltonian,
     hamiltonian_flow,
     hamiltonian_value,
@@ -27,7 +25,6 @@ from simplexgeo.hamiltonian import (
     horizontal_gradient,
     integrability_suite,
     kahler_gradient_check,
-    momentum_s1,
     momentum_torus,
     poisson_bracket,
     random_complex_point,
@@ -42,12 +39,6 @@ def plus_state():
 
 
 class TestMomentumMaps:
-    def test_s1_is_unit(self, rng):
-        assert momentum_s1(ComplexPoint(np.array([1.0, 0.0]))) == 1.0
-        for _ in range(20):
-            z = random_complex_point(rng, int(rng.integers(1, 33)))
-            assert momentum_s1(z) == pytest.approx(1.0, abs=1e-13)
-
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalizable):
             ComplexPoint(np.array([1.0, 1.0]))
@@ -100,35 +91,8 @@ class TestHamiltonianValue:
         z = random_complex_point(rng, 8)
         theta = float(rng.uniform(0, 2 * np.pi))
         rotated = ComplexPoint(np.exp(1j * theta) * z.coords)
-        assert hamiltonian_value(H, canonical_gauge(rotated)) == pytest.approx(
-            hamiltonian_value(H, canonical_gauge(z)), abs=1e-14
-        )
-        np.testing.assert_allclose(
-            momentum_torus(canonical_gauge(rotated)),
-            momentum_torus(canonical_gauge(z)),
-            atol=1e-14,
-        )
-
-
-class TestCanonicalGauge:
-    def test_pivot_real_nonnegative(self, rng):
-        for _ in range(30):
-            z = random_complex_point(rng, 6)
-            zp = canonical_gauge(z)
-            pivot = zp.rep.coords[zp.gauge_index]
-            assert pivot.imag == 0.0 and pivot.real >= 0.0
-            assert zp.gauge_index == int(np.argmax(np.abs(z.coords)))
-
-    def test_phase_representatives_coincide(self, rng):
-        z = random_complex_point(rng, 5)
-        rotated = ComplexPoint(np.exp(0.73j) * z.coords)
-        np.testing.assert_allclose(
-            canonical_gauge(rotated).rep.coords, canonical_gauge(z).rep.coords, atol=1e-14
-        )
-
-    def test_bad_gauge_rejected(self):
-        with pytest.raises(NotNormalizable):
-            ProjectivePoint(ComplexPoint(np.array([1j, 0.0])), 0)
+        assert hamiltonian_value(H, rotated) == pytest.approx(hamiltonian_value(H, z), abs=1e-14)
+        np.testing.assert_allclose(momentum_torus(rotated), momentum_torus(z), atol=1e-14)
 
 
 class TestWirtinger:

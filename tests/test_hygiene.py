@@ -1,12 +1,15 @@
 """Source hygiene: every top-level import in the package is used, every
-module-level private name is read somewhere, and the package namespace
-binds only its modules.
+module-level private name is read somewhere, every public name has a
+caller besides the unit tests, and the package namespace binds only its
+modules.
 
 No linter is a dependency, so these are small ``ast`` checks.  A name
 counts as used when it appears anywhere in the module as a bare name
 (``np`` in ``np.zeros`` included).  A private name (``_x``) counts as read
 when some top-level statement of the package other than its own
-definition names it, imports it or reads it as an attribute.
+definition names it, imports it or reads it as an attribute.  A public
+name counts as read the same way, or when a script under ``scripts/`` or
+``tests/test_acceptance.py`` names it.
 ``__init__.py`` imports modules without using them, so it has its own
 rule: each public name has one import path, its home module.
 """
@@ -16,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "simplexgeo"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "simplexgeo"
+SCRIPTS = ROOT / "scripts"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,17 +55,31 @@ def _named(node: ast.AST) -> set[str]:
     return names
 
 
-def unread_private_names(sources: list[str]) -> list[str]:
-    """Module-level ``_x`` names that no other top-level statement of the sources reads."""
+def _unread(sources: list[str], wanted, readers: list[str] = ()) -> list[str]:
+    """Module-level names, among those ``wanted`` accepts, that no other top-level
+    statement of the sources and no reader source names."""
     statements = [node for source in sources for node in ast.parse(source).body]
+    named = [_named(node) for node in statements]
+    read_outside = set().union(*(_named(ast.parse(reader)) for reader in readers))
     unread = []
     for node in statements:
         for name in _defined_names(node):
-            if not name.startswith("_") or name.startswith("__"):
+            if not wanted(name) or name in read_outside:
                 continue
-            if not any(name in _named(other) for other in statements if other is not node):
+            if not any(name in names for other, names in zip(statements, named) if other is not node):
                 unread.append(name)
     return sorted(unread)
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level ``_x`` names that no other top-level statement of the sources reads."""
+    return _unread(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def unread_public_names(sources: list[str], readers: list[str]) -> list[str]:
+    """Module-level public names that no other top-level statement of the sources
+    reads and no reader names: a library name that only unit tests would reach."""
+    return _unread(sources, lambda name: not name.startswith("_"), readers)
 
 
 def namespace_violations(source: str) -> list[str]:
@@ -91,6 +110,13 @@ def test_checker_flags_an_unread_private_name():
     assert unread_private_names([home]) == ["_TABLE", "_helper", "_orphan"]
 
 
+def test_checker_flags_a_name_only_tests_reach():
+    home = "def helper():\n    return 1\n\ndef used():\n    return helper()\n\ndef orphan():\n    pass\n"
+    script = "from simplexgeo.home import used\n\nused()\n"
+    assert unread_public_names([home], [script]) == ["orphan"]
+    assert unread_public_names([home], []) == ["orphan", "used"]
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -108,6 +134,13 @@ def test_no_unused_top_level_import(path):
 def test_every_private_name_is_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def test_every_public_name_has_a_caller_besides_unit_tests():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    readers = [p.read_text(encoding="utf-8") for p in sorted(SCRIPTS.glob("*.py"))]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert unread_public_names(sources, readers) == []
 
 
 def test_package_namespace_binds_only_modules():

@@ -5,7 +5,6 @@ from simplexgeo.errors import (
     BaseMismatch,
     DegenerateEndpoints,
     DimensionMismatch,
-    ExponentNotTwo,
     InvalidExponent,
     InvalidParameter,
     LossyTruncation,
@@ -17,11 +16,9 @@ from simplexgeo.metrics import (
     fr_geodesic,
     fr_inner,
     fr_inner_report,
-    sphere_project,
 )
 from simplexgeo.sequence_core import (
     SimplexPoint,
-    SpherePoint,
     make_tangent,
     random_simplex_point,
     random_tangent,
@@ -133,41 +130,6 @@ class TestFinslerNorm:
         v = make_tangent(half_half, np.array([1.0, -1.0]))
         with pytest.raises(InvalidExponent):
             finsler_norm(v, 0.5)
-
-
-class TestSphereProject:
-    def test_already_tangent(self):
-        x = SpherePoint(np.array([1.0, 0.0]), q=2.0)
-        out = sphere_project(x, np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(out.comps, [0.0, 1.0])
-
-    def test_annihilates_base(self, rng):
-        raw = rng.standard_normal(6)
-        coords = np.abs(raw) / np.linalg.norm(raw)
-        x = SpherePoint(coords, q=2.0)
-        np.testing.assert_allclose(sphere_project(x, coords).comps, 0.0, atol=1e-15)
-
-    def test_halving_example(self):
-        s = np.sqrt(0.5)
-        x = SpherePoint(np.array([s, s]), q=2.0)
-        out = sphere_project(x, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out.comps, [0.5, -0.5], rtol=0, atol=1e-15)
-
-    def test_idempotent_and_self_adjoint(self, rng):
-        for _ in range(20):
-            raw = rng.standard_normal(9)
-            x = SpherePoint(raw / np.linalg.norm(raw), q=2.0)
-            u, v = rng.standard_normal(9), rng.standard_normal(9)
-            pu = sphere_project(x, u).comps
-            np.testing.assert_allclose(sphere_project(x, pu).comps, pu, atol=1e-12)
-            lhs = np.dot(pu, v)
-            rhs = np.dot(u, sphere_project(x, v).comps)
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-    def test_q_guard(self):
-        x = SpherePoint(np.array([1.0, 1.0]) / 2 ** (1 / 3), q=3.0)
-        with pytest.raises(ExponentNotTwo):
-            sphere_project(x, np.array([1.0, 0.0]))
 
 
 class TestFrDistance:
