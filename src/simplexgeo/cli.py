@@ -61,6 +61,7 @@ from .hamiltonian import (
     integrability_suite,
     poisson_bracket,
     random_complex_point,
+    wirtinger,
 )
 from .sequence_core import (
     SequenceSpec,
@@ -379,7 +380,7 @@ def _cmd_isometry(cfg: RunConfig, *_) -> tuple[str, bool]:
 def _cmd_bracket(cfg: RunConfig, *_) -> tuple[str, bool]:
     rng = np.random.default_rng(cfg.seed)
     z = random_complex_point(rng, cfg.dim)
-    canonical = poisson_bracket(CoordinateReal(0), CoordinateImag(0), z)
+    canonical = poisson_bracket(*wirtinger([CoordinateReal(0), CoordinateImag(0)], z))
     c = rng.uniform(0.5, 3.0, size=cfg.dim)
     modes = [coordinate_hamiltonian(c, k) for k in range(cfg.dim)]
     analytic_max, numeric_max = bracket_max(modes, z)

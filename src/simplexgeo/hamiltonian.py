@@ -106,18 +106,6 @@ def coordinate_hamiltonian(c, n: int) -> QuadraticHamiltonian:
 
 
 @dataclass(frozen=True)
-class Linearization:
-    """Stored first derivatives (df/dz, df/dzbar) of an observable at one point.
-
-    A bracket at z reads only these, so one record per observable serves
-    every pair at z; :func:`wirtinger` returns the arrays as stored.
-    """
-
-    dz: np.ndarray
-    dzbar: np.ndarray
-
-
-@dataclass(frozen=True)
 class _Coordinate:
     """Observable reading one coordinate z_k; the index must be >= 0."""
 
@@ -192,8 +180,32 @@ def _row_values(f: Callable, rows: np.ndarray, abs2: np.ndarray | None) -> np.nd
     return np.array([f(row) for row in rows])
 
 
-def _numeric_wirtinger(observables: list[Callable], z: np.ndarray) -> list[tuple]:
-    """Central-difference (df/dz, df/dzbar) of every observable at z from one perturbation stack.
+def _registered_jet(f: Callable, a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Exact (df/dz, df/dzbar) of a registered form at a; None for any other observable."""
+    if isinstance(f, QuadraticHamiltonian):
+        _check_dim(f, a.size)
+        return f.weights * a.conjugate(), f.weights * a
+    if isinstance(f, CoordinateReal):
+        dz = np.zeros(a.size, dtype=complex)
+        dz[f.at(a.size)] = 0.5
+        return dz, dz.copy()
+    if isinstance(f, CoordinateImag):
+        k = f.at(a.size)
+        dz = np.zeros(a.size, dtype=complex)
+        dzbar = np.zeros(a.size, dtype=complex)
+        dz[k] = -0.5j
+        dzbar[k] = 0.5j
+        return dz, dzbar
+    return None
+
+
+def wirtinger(observables: list[Callable], z, numeric: bool = False) -> list[tuple]:
+    """1-jets (df/dz, df/dzbar) of every observable at z, in order.
+
+    Registered forms (diagonal quadratics, coordinate real and imaginary
+    parts) get exact derivatives.  Every other observable, and every one
+    when ``numeric`` is set (how the oracle cross-checks the exact forms),
+    gets central differences from one perturbation stack.
 
     The stack holds z + e_j, z - e_j, z + i e_j and z - i e_j for each
     coordinate j, where e_j is the step on coordinate j, built as z +- D
@@ -203,13 +215,18 @@ def _numeric_wirtinger(observables: list[Callable], z: np.ndarray) -> list[tuple
     row on the read-only stack.  The stack is built in blocks of at most
     ``_STACK_BLOCK`` entries (whole coordinates at a time, at least one).
     """
-    n = z.size
+    a = _coords_of(z)
+    n = a.size
+    jets = [None if numeric else _registered_jet(f, a) for f in observables]
+    stacked = [k for k, jet in enumerate(jets) if jet is None]
+    if not stacked:
+        return jets
     quadratic = False
-    for f in observables:
-        if isinstance(f, QuadraticHamiltonian):
-            _check_dim(f, n)
+    for k in stacked:
+        if isinstance(observables[k], QuadraticHamiltonian):
+            _check_dim(observables[k], n)
             quadratic = True
-    dz = np.empty((len(observables), n), dtype=complex)
+    dz = np.empty((len(stacked), n), dtype=complex)
     dzbar = np.empty_like(dz)
     width = max(1, _STACK_BLOCK // (4 * n))
     for lo in range(0, n, width):
@@ -217,88 +234,65 @@ def _numeric_wirtinger(observables: list[Callable], z: np.ndarray) -> list[tuple
         m = block.stop - lo
         d = np.zeros((m, n), dtype=complex)
         d[np.arange(m), np.arange(lo, block.stop)] = WIRTINGER_STEP
-        rows = np.concatenate((z + d, z - d, z + 1j * d, z - 1j * d))
+        rows = np.concatenate((a + d, a - d, a + 1j * d, a - 1j * d))
         rows.setflags(write=False)
         abs2 = np.abs(rows) ** 2 if quadratic else None
-        for k, f in enumerate(observables):
-            plus_x, minus_x, plus_y, minus_y = _row_values(f, rows, abs2).reshape(4, m)
+        for i, k in enumerate(stacked):
+            plus_x, minus_x, plus_y, minus_y = _row_values(observables[k], rows, abs2).reshape(4, m)
             df_dx = (plus_x - minus_x) / (2.0 * WIRTINGER_STEP)
             df_dy = (plus_y - minus_y) / (2.0 * WIRTINGER_STEP)
-            dz[k, block] = 0.5 * (df_dx - 1j * df_dy)
-            dzbar[k, block] = 0.5 * (df_dx + 1j * df_dy)
-    return list(zip(dz, dzbar))
+            dz[i, block] = 0.5 * (df_dx - 1j * df_dy)
+            dzbar[i, block] = 0.5 * (df_dx + 1j * df_dy)
+    for i, k in enumerate(stacked):
+        jets[k] = (dz[i], dzbar[i])
+    return jets
 
 
-def wirtinger(f: Callable, z, numeric: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives (df/dz, df/dzbar) of a scalar field at z.
+def poisson_bracket(df: tuple, dg: tuple) -> float:
+    """Canonical bracket 2i sum_j (df/dzbar dg/dz - df/dz dg/dzbar) of two 1-jets.
 
-    Registered forms (diagonal quadratics, coordinate real and imaginary
-    parts) get exact derivatives; anything else falls back to central
-    differences treating real and imaginary parts separately.
-    ``numeric=True`` forces the finite-difference path even for
-    registered forms, which is how the oracle cross-checks them.  A
-    :class:`Linearization` returns its stored arrays whatever ``numeric``
-    is: it was computed at z on the path the caller chose.
+    ``df`` and ``dg`` are (df/dz, df/dzbar) pairs from :func:`wirtinger`
+    at one point: a bracket reads nothing else.  Real-valued observables
+    give a real bracket; an imaginary part above 1e-10 signals a non-real
+    or buggy field and raises.  The returned real part is evaluated in
+    real arithmetic (for real observables the bracket reduces to
+    -4 sum Im(conj(df/dz) dg/dz)), so structurally cancelling terms, e.g.
+    derivatives with disjoint supports, give exactly 0.0 regardless of
+    fused-multiply complex rounding.
     """
-    if isinstance(f, Linearization):
-        return f.dz, f.dzbar
-    a = _coords_of(z)
-    if not numeric:
-        if isinstance(f, QuadraticHamiltonian):
-            _check_dim(f, a.size)
-            return f.weights * a.conjugate(), f.weights * a
-        if isinstance(f, CoordinateReal):
-            dz = np.zeros(a.size, dtype=complex)
-            dz[f.at(a.size)] = 0.5
-            return dz, dz.copy()
-        if isinstance(f, CoordinateImag):
-            k = f.at(a.size)
-            dz = np.zeros(a.size, dtype=complex)
-            dzbar = np.zeros(a.size, dtype=complex)
-            dz[k] = -0.5j
-            dzbar[k] = 0.5j
-            return dz, dzbar
-    return _numeric_wirtinger([f], a)[0]
-
-
-def poisson_bracket(f: Callable, g: Callable, z, numeric: bool = False) -> float:
-    """Canonical bracket 2i sum_j (df/dzbar dg/dz - df/dz dg/dzbar).
-
-    Real-valued observables give a real bracket; an imaginary part above
-    1e-10 signals a non-real or buggy field and raises.  The returned
-    real part is evaluated in real arithmetic (for real observables the
-    bracket reduces to -4 sum Im(conj(df/dz) dg/dz)), so structurally
-    cancelling terms, e.g. derivatives with disjoint supports, give
-    exactly 0.0 regardless of fused-multiply complex rounding.
-    """
-    df_dz, df_dzbar = wirtinger(f, z, numeric=numeric)
-    dg_dz, dg_dzbar = wirtinger(g, z, numeric=numeric)
+    df_dz, df_dzbar = df
+    dg_dz, dg_dzbar = dg
     value = 2.0j * (df_dzbar * dg_dz - df_dz * dg_dzbar).sum()
     if abs(value.imag) > 1e-10:
         raise ComplexResidue(f"bracket has imaginary part {value.imag}")
     return -4.0 * float((df_dz.real * dg_dz.imag - df_dz.imag * dg_dz.real).sum())
 
 
+def _max_or_nan(values: list[float]) -> float:
+    """Largest of the values (0.0 for none), or NaN if one is NaN: ``max(acc, nan)`` keeps acc."""
+    return float(np.max(values, initial=0.0))
+
+
 def bracket_max(observables: list[Callable], z) -> tuple[float, float]:
     """Largest |{f, g}| over pairs f before g: (analytic path, finite-difference path).
 
-    A bracket needs only the first derivatives of f and g at z, so each
-    observable is differentiated once per path and every pair reads the
-    stored :class:`Linearization`.  The numeric path differentiates all M
-    observables from one perturbation stack of 4N rows.  Each pair still
-    goes through :func:`poisson_bracket`, with its imaginary-part check.
+    A bracket reads only the 1-jets of f and g at z, so each path makes
+    one :func:`wirtinger` call for all M observables (the numeric one
+    builds one perturbation stack of 4N rows) and every pair reads them.
+    Each pair still goes through :func:`poisson_bracket`, with its
+    imaginary-part check.  A NaN bracket makes its path's maximum NaN.
     Products that overflow (weights near the float range) print no warning.
     """
-    analytic_max = 0.0
-    numeric_max = 0.0
+    analytic_abs = []
+    numeric_abs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        analytic = [Linearization(*wirtinger(f, z)) for f in observables]
-        numeric = [Linearization(*d) for d in _numeric_wirtinger(observables, _coords_of(z))]
+        analytic = wirtinger(observables, z)
+        numeric = wirtinger(observables, z, numeric=True)
         for k in range(len(observables)):
             for m in range(k + 1, len(observables)):
-                analytic_max = max(analytic_max, abs(poisson_bracket(analytic[k], analytic[m], z)))
-                numeric_max = max(numeric_max, abs(poisson_bracket(numeric[k], numeric[m], z)))
-    return analytic_max, numeric_max
+                analytic_abs.append(abs(poisson_bracket(analytic[k], analytic[m])))
+                numeric_abs.append(abs(poisson_bracket(numeric[k], numeric[m])))
+    return _max_or_nan(analytic_abs), _max_or_nan(numeric_abs)
 
 
 def brackets_vanish(analytic_max: float, numeric_max: float) -> bool:
@@ -382,32 +376,35 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     h_modes = [coordinate_hamiltonian(c, k) for k in range(n)]
     streams = np.random.SeedSequence(seed).spawn(trials + 1)
 
-    analytic_max = 0.0
-    numeric_max = 0.0
-    drift_max = 0.0
+    maxima = []  # (analytic, numeric) per trial
+    drifts = []
     for trial in range(trials):
         rng = np.random.default_rng(streams[trial])
         z = random_complex_point(rng, n)
-        analytic, numeric = bracket_max([h_full, *h_modes], z)
-        analytic_max = max(analytic_max, analytic)
-        numeric_max = max(numeric_max, numeric)
+        maxima.append(bracket_max([h_full, *h_modes], z))
         path = [z.coords] + [hamiltonian_flow(h_full, z, t).coords for t in (0.1, 1.0, 10.0)]
         abs2 = np.abs(np.array(path)) ** 2
         for h_mode in h_modes:
             energy = _quadratic_rows(h_mode.weights, abs2)
-            drift_max = max(drift_max, float(np.abs(energy[1:] - energy[0]).max()))
+            drifts.append(float(np.abs(energy[1:] - energy[0]).max()))
+    analytic_max, numeric_max = (_max_or_nan(path) for path in zip(*maxima))
+    drift_max = _max_or_nan(drifts)
 
     # Independence is witnessed on the ambient lifts, whose derivatives have
     # disjoint supports; the horizontal gradients satisfy one exact relation
     # at finite truncation (sum_n H_n / c_n is constant on the sphere).
     # Gradients are unit-normalized first: independence is scale-invariant,
-    # and the raw determinant underflows for fast-decaying weights.
+    # and the raw determinant underflows for fast-decaying weights.  A norm
+    # that overflows (|c_k z_k| past about 1e154) is taken after dividing by
+    # the largest modulus instead.
     zg = random_complex_point(np.random.default_rng(streams[-1]), n)
     grads = []
-    for h in h_modes:
-        g = wirtinger(h, zg)[0]
-        with np.errstate(over="ignore"):  # an infinite norm zeroes g, and the Gram check fails
+    for g, _ in wirtinger(h_modes, zg):
+        with np.errstate(over="ignore", invalid="ignore"):
             norm = np.linalg.norm(g)
+            if not math.isfinite(norm):
+                g = g / np.abs(g).max()
+                norm = np.linalg.norm(g)
         grads.append(g / norm if norm > 0.0 else g)
     gram = np.array([[np.vdot(a, b).real for b in grads] for a in grads])
     gram_det = float(np.linalg.det(gram))
@@ -418,7 +415,7 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
         and gram_det > 0.0
     )
     return {
-        "brackets_max_abs": max(analytic_max, numeric_max),
+        "brackets_max_abs": _max_or_nan([analytic_max, numeric_max]),
         "conservation_max_drift": drift_max,
         "gram_det": gram_det,
         "pass": bool(passed),

@@ -386,8 +386,12 @@ class TestNearTheFloatRange:
             (["integrability", "--dim", "3", "--c", "explicit:1e308,1e307,1", "--seed", "1"],
              "integrability dim=3 error in simplexgeo.sequence_core._require_finite: "
              "coordinate vector contains NaN or infinity\n"),
+            (["integrability", "--dim", "3", "--c", "explicit:1e200,1e199,1", "--seed", "1"],
+             "integrability dim=3 error in simplexgeo.cli._emit: "
+             "an output value is NaN or infinite; no file was written\n"),
         ],
-        ids=["flow-exponent-overflows", "lp-gap-overflows", "integrability-phase-overflows"],
+        ids=["flow-exponent-overflows", "lp-gap-overflows", "integrability-phase-overflows",
+             "integrability-bracket-overflows"],
     )
     def test_typed_error_alone(self, tmp_path, capsys, recwarn, argv, err):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1

@@ -100,38 +100,38 @@ class TestWirtinger:
         c = rng.standard_normal(5)
         H = QuadraticHamiltonian(c)
         z = random_complex_point(rng, 5)
-        dz, dzbar = wirtinger(H, z)
+        [(dz, dzbar)] = wirtinger([H], z)
         np.testing.assert_array_equal(dz, c * z.coords.conjugate())
         np.testing.assert_array_equal(dzbar, c * z.coords)
 
     def test_single_mode_has_point_support(self, rng):
         c = np.array([3.0, 2.0, 1.0])
         z = random_complex_point(rng, 3)
-        dz, dzbar = wirtinger(coordinate_hamiltonian(c, 1), z)
+        [(dz, dzbar)] = wirtinger([coordinate_hamiltonian(c, 1)], z)
         assert dz[0] == 0.0 and dz[2] == 0.0
         assert dz[1] == 2.0 * z.coords[1].conjugate()
 
     def test_constant_field(self, rng):
         z = random_complex_point(rng, 4)
-        dz, dzbar = wirtinger(lambda w: 1.5, z)
+        [(dz, dzbar)] = wirtinger([lambda w: 1.5], z)
         np.testing.assert_allclose(dz, 0.0, atol=1e-10)
         np.testing.assert_allclose(dzbar, 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_quadratic_longer_than_point_rejected(self, numeric):
         with pytest.raises(DimensionMismatch):
-            wirtinger(QuadraticHamiltonian(np.ones(3)), ComplexPoint(np.array([1.0 + 0j])), numeric)
+            wirtinger([QuadraticHamiltonian(np.ones(3))], ComplexPoint(np.array([1.0 + 0j])), numeric)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_quadratic_shorter_than_point_rejected(self, rng, numeric):
         with pytest.raises(DimensionMismatch):
-            wirtinger(QuadraticHamiltonian(np.ones(2)), random_complex_point(rng, 3), numeric)
+            wirtinger([QuadraticHamiltonian(np.ones(2))], random_complex_point(rng, 3), numeric)
 
     @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("kind", [CoordinateReal, CoordinateImag])
     def test_coordinate_past_the_point_rejected(self, rng, kind, numeric):
         with pytest.raises(DimensionMismatch):
-            wirtinger(kind(5), random_complex_point(rng, 3), numeric)
+            wirtinger([kind(5)], random_complex_point(rng, 3), numeric)
 
     @pytest.mark.parametrize("kind", [CoordinateReal, CoordinateImag])
     def test_negative_coordinate_rejected(self, kind):
@@ -143,8 +143,8 @@ class TestWirtinger:
             c = rng.standard_normal(6)
             H = QuadraticHamiltonian(c)
             z = random_complex_point(rng, 6)
-            dz_a, dzbar_a = wirtinger(H, z)
-            dz_n, dzbar_n = wirtinger(H, z, numeric=True)
+            [(dz_a, dzbar_a)] = wirtinger([H], z)
+            [(dz_n, dzbar_n)] = wirtinger([H], z, numeric=True)
             np.testing.assert_allclose(dz_n, dz_a, atol=1e-8)
             np.testing.assert_allclose(dzbar_n, dzbar_a, atol=1e-8)
 
@@ -155,7 +155,8 @@ class TestPoissonBracket:
         z = random_complex_point(rng, 8)
         for k in range(8):
             for m in range(k + 1, 8):
-                val = poisson_bracket(coordinate_hamiltonian(c, k), coordinate_hamiltonian(c, m), z)
+                pair = [coordinate_hamiltonian(c, k), coordinate_hamiltonian(c, m)]
+                val = poisson_bracket(*wirtinger(pair, z))
                 assert val == 0.0
 
     def test_full_against_modes_vanish(self, rng):
@@ -163,22 +164,22 @@ class TestPoissonBracket:
         z = random_complex_point(rng, 6)
         H = QuadraticHamiltonian(c)
         for n in range(6):
-            assert poisson_bracket(H, coordinate_hamiltonian(c, n), z) == 0.0
+            assert poisson_bracket(*wirtinger([H, coordinate_hamiltonian(c, n)], z)) == 0.0
 
     def test_canonical_pair(self, rng):
         z = random_complex_point(rng, 4)
-        assert poisson_bracket(CoordinateReal(0), CoordinateImag(0), z) == 1.0
-        assert poisson_bracket(CoordinateImag(0), CoordinateReal(0), z) == -1.0
+        assert poisson_bracket(*wirtinger([CoordinateReal(0), CoordinateImag(0)], z)) == 1.0
+        assert poisson_bracket(*wirtinger([CoordinateImag(0), CoordinateReal(0)], z)) == -1.0
 
     def test_numeric_path_agrees(self, rng):
         z = random_complex_point(rng, 4)
-        val = poisson_bracket(CoordinateReal(0), CoordinateImag(0), z, numeric=True)
+        val = poisson_bracket(*wirtinger([CoordinateReal(0), CoordinateImag(0)], z, numeric=True))
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_complex_field_rejected(self, rng):
         z = random_complex_point(rng, 3)
         with pytest.raises(ComplexResidue):
-            poisson_bracket(lambda w: w[0], QuadraticHamiltonian(np.ones(3)), z)
+            poisson_bracket(*wirtinger([lambda w: w[0], QuadraticHamiltonian(np.ones(3))], z))
 
 
 def quartic(w) -> float:
@@ -232,7 +233,7 @@ class TestStackedWirtinger:
             quartic,
             signed_zero_field(m),
         ]
-        for f, (dz, dzbar) in zip(observables, hamiltonian._numeric_wirtinger(observables, z)):
+        for f, (dz, dzbar) in zip(observables, wirtinger(observables, z, numeric=True)):
             ref_dz, ref_dzbar = loop_wirtinger(f, z)
             assert np.array_equal(bits(dz), bits(ref_dz)), f
             assert np.array_equal(bits(dzbar), bits(ref_dzbar)), f
@@ -240,7 +241,7 @@ class TestStackedWirtinger:
     def test_mismatched_quadratic_rejected(self, rng):
         z = random_complex_point(rng, 4).coords
         with pytest.raises(DimensionMismatch):
-            hamiltonian._numeric_wirtinger([quartic, QuadraticHamiltonian(np.ones(5))], z)
+            wirtinger([quartic, QuadraticHamiltonian(np.ones(5))], z, numeric=True)
 
     def test_memory_is_bounded_in_blocks(self, rng):
         # An unblocked (4N, N) stack with its |z|^2 would need about 400 MB here.
@@ -248,7 +249,7 @@ class TestStackedWirtinger:
         z = random_complex_point(rng, n).coords
         tracemalloc.start()
         try:
-            hamiltonian._numeric_wirtinger([QuadraticHamiltonian(np.ones(n))], z)
+            wirtinger([QuadraticHamiltonian(np.ones(n))], z, numeric=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,8 +294,8 @@ class TestBracketMax:
         analytic = numeric = 0.0
         for i, f in enumerate(observables):
             for g in observables[i + 1 :]:
-                analytic = max(analytic, abs(poisson_bracket(f, g, z)))
-                numeric = max(numeric, abs(poisson_bracket(f, g, z, numeric=True)))
+                analytic = max(analytic, abs(poisson_bracket(*wirtinger([f, g], z))))
+                numeric = max(numeric, abs(poisson_bracket(*wirtinger([f, g], z, numeric=True))))
         assert bracket_max(observables, z) == (analytic, numeric)
 
     def test_complex_observable_rejected(self):
@@ -420,6 +421,18 @@ class TestIntegrabilitySuite:
     def test_zero_weight_fails_independence(self):
         report = integrability_suite(np.array([1.0, 0.0, 2.0]), trials=1, seed=5)
         assert report["gram_det"] == 0.0
+        assert not report["pass"]
+
+    def test_overflowing_gradient_norm_keeps_independence(self):
+        # |c_0 z_0| near 1e154 overflows the norm of its gradient, but not the gradient.
+        report = integrability_suite(np.array([1.7e154, 1.0, 1.0]), trials=10, seed=7)
+        assert math.isfinite(report["brackets_max_abs"])
+        assert report["gram_det"] > 0.0
+
+    def test_nan_bracket_reaches_the_report(self):
+        # c_0^2 overflows, so the bracket of the full Hamiltonian with mode 0 is inf - inf.
+        report = integrability_suite(np.array([1e200, 1e199, 1.0]), trials=10, seed=1)
+        assert math.isnan(report["brackets_max_abs"])
         assert not report["pass"]
 
     @pytest.mark.parametrize("trials", [0, -1])

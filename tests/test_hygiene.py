@@ -9,7 +9,10 @@ counts as used when it appears anywhere in the module as a bare name
 when some top-level statement of the package other than its own
 definition names it, imports it or reads it as an attribute.  A public
 name counts as read the same way, or when a script under ``scripts/`` or
-``tests/test_acceptance.py`` names it.
+``tests/test_acceptance.py`` names it.  A defaulted parameter of a public
+module-level function counts as passed when some call of that name in the
+package, a script, ``tests/test_acceptance.py`` or ``perfbench/*.py`` gives
+it by keyword, by position or through ``*args`` / ``**kwargs``.
 ``__init__.py`` imports modules without using them, so it has its own
 rule: each public name has one import path, its home module.
 """
@@ -22,6 +25,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "simplexgeo"
 SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -82,6 +86,43 @@ def unread_public_names(sources: list[str], readers: list[str]) -> list[str]:
     return _unread(sources, lambda name: not name.startswith("_"), readers)
 
 
+def unpassed_defaults(sources: list[str], callers: list[str]) -> list[str]:
+    """``function(parameter)`` for each defaulted parameter of a public module-level
+    function that no call of that name in the callers passes: a knob nobody turns."""
+    defaults = {}
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+                params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                defaults.setdefault(node.name, []).extend(params)
+    passed = set()
+    for caller in callers:
+        for call in ast.walk(ast.parse(caller)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            keywords = {kw.arg for kw in call.keywords}
+            for param, position in defaults.get(name, ()):
+                if (
+                    param in keywords
+                    or None in keywords  # **kwargs
+                    or (position is not None and position < len(call.args))
+                    or (position is not None and starred and starred[0] <= position)
+                ):
+                    passed.add((name, param))
+    return sorted(
+        f"{name}({param})"
+        for name, params in defaults.items()
+        for param, _ in params
+        if (name, param) not in passed
+    )
+
+
 def namespace_violations(source: str) -> list[str]:
     """Top-level statements other than the docstring, ``from . import <module>``
     and the ``__version__`` assignment."""
@@ -117,6 +158,18 @@ def test_checker_flags_a_name_only_tests_reach():
     assert unread_public_names([home], []) == ["orphan", "used"]
 
 
+def test_checker_flags_a_default_no_caller_passes():
+    home = (
+        "def f(x, scale=1.0, *, fast=False):\n    return x\n\n"
+        "def g(x, y=0):\n    return x\n\n"
+        "def h(x=0):\n    return x\n\n"
+        "def _private(x=0):\n    return x\n"
+    )
+    script = "f(1, 2.0)\nmod.g(*pair)\nh(**options)\n_private()\n"
+    assert unpassed_defaults([home], [script]) == ["f(fast)"]
+    assert unpassed_defaults([home], ["f(1, fast=True)\ng(1)\n"]) == ["f(scale)", "g(y)", "h(x)"]
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -141,6 +194,14 @@ def test_every_public_name_has_a_caller_besides_unit_tests():
     readers = [p.read_text(encoding="utf-8") for p in sorted(SCRIPTS.glob("*.py"))]
     readers.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     assert unread_public_names(sources, readers) == []
+
+
+def test_every_default_is_passed_by_a_caller_besides_unit_tests():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    callers = sources + [p.read_text(encoding="utf-8") for p in sorted(SCRIPTS.glob("*.py"))]
+    callers.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    callers += [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unpassed_defaults(sources, callers) == []
 
 
 def test_package_namespace_binds_only_modules():

@@ -86,6 +86,44 @@ def test_workload_counts_match_the_code(tmp_path):
         tracer.uninstall()
 
 
+def test_each_derivative_pass_is_one_wirtinger_span(tmp_path, monkeypatch):
+    # bracket_max differentiates all its observables once per path, the Gram block all
+    # modes at once and a canonical pair both coordinates at once, whatever N is; and
+    # every row of the finite-difference stack is evaluated directly under that span.
+    workloads = _load("workloads")
+    tracing = _load("tracing")
+    want = {
+        "flow": 0,
+        "geodesic": 0,
+        "lp": 0,
+        "isometry": 0,
+        "bracket": 1 + 2,
+        "integrability": 2 * workloads.CLI_INTEGRABILITY_TRIALS + 1,
+        "check-all": 2 * workloads.CHECK_ALL_INTEGRABILITY_TRIALS + 1 + 1,
+    }
+    tracer = tracing.Tracer()
+    row_values = simplexgeo.hamiltonian._row_values
+    under = []
+
+    def recorded(f, rows, abs2):
+        under.append(tracer.spans[tracer._stack[-1]][0] if tracer._stack else None)
+        return row_values(f, rows, abs2)
+
+    monkeypatch.setattr(simplexgeo.hamiltonian, "_row_values", recorded)
+    cmds = []
+    for name in ("trajectory", "integrability", "check-all"):
+        cmds += workloads.build(name, 3, str(tmp_path / name), smoke=True)
+    tracer.install()
+    try:
+        for cmd in cmds:
+            lo = len(tracer.spans)
+            assert simplexgeo.cli.main(list(cmd.argv)) == 0, cmd.line
+            assert tracer.count("hamiltonian.wirtinger", None, lo) == want[cmd.argv[0]], cmd.line
+    finally:
+        tracer.uninstall()
+    assert under and set(under) == {"hamiltonian.wirtinger"}
+
+
 def _recorded_digests():
     """The recorded digest table, or a skip where floating point may round differently."""
     run = _load("run")
