@@ -53,7 +53,7 @@ class VectorField:
     """
 
     func: Callable[[SimplexPoint], TangentVector]
-    label: str = ""
+    label: str
 
     def __call__(self, p: SimplexPoint) -> TangentVector:
         v = self.func(p)

@@ -53,10 +53,6 @@ class BaseMismatch(SimplexGeoError):
     """Two tangent vectors are attached to different base points."""
 
 
-class ExponentNotTwo(SimplexGeoError):
-    """An operation defined only for the round (q = 2) sphere got q != 2."""
-
-
 class DimensionMismatch(SimplexGeoError):
     """Operands live in different ambient dimensions."""
 

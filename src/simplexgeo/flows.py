@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import Curve, EGeodesic, VectorField, make_e_geodesic
+from .connections import EGeodesic, VectorField, make_e_geodesic
 from .errors import (
     DimensionMismatch,
     GridTooLarge,
@@ -164,18 +164,12 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     return dt * np.arange(rows)
 
 
-def curve_rows(curve: Curve, times: np.ndarray, dim: int) -> np.ndarray:
-    """The ``(T, N)`` block of a curve's coordinates, one row per time."""
-    rows = np.empty((len(times), dim))
-    for i, t in enumerate(times):
-        rows[i] = curve(t).coords
-    return rows
-
-
 def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -> Trajectory:
     """Closed-form flow sampled on a time grid, with per-step ODE residuals."""
     times = np.asarray(times, dtype=float)
-    rows = curve_rows(lambda t: flow_closed_form(obj, p0, t), times, obj.dim)
+    rows = np.empty((len(times), obj.dim))
+    for i, t in enumerate(times):
+        rows[i] = flow_closed_form(obj, p0, t).coords
     # A field whose <c, p> overflows is reported by make_tangent's typed error alone.
     with np.errstate(over="ignore"):
         residuals = np.array([flow_ode_residual(obj, p0, t) for t in times])

@@ -8,16 +8,9 @@ angle, with range [0, pi/2) on the open simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DegenerateEndpoints,
-    DimensionMismatch,
-    InvalidParameter,
-    LossyTruncation,
-)
+from .errors import DegenerateEndpoints, DimensionMismatch, LossyTruncation
 from .sequence_core import (
     SimplexPoint,
     TangentVector,
@@ -26,32 +19,12 @@ from .sequence_core import (
     membership_tol,
     same_base,
 )
-from .transforms import RootTransform, pullback_inner
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Value of a metric pairing plus its defect against the sphere route."""
-
-    value: float
-    residual_vs_pullback: float
-
-    def __post_init__(self):
-        if self.residual_vs_pullback < 0.0:
-            raise InvalidParameter("residual must be nonnegative")
 
 
 def fr_inner(v: TangentVector, w: TangentVector) -> float:
     """Fisher-Rao inner product (1/4) sum v_n w_n / p_n."""
     p = same_base(v, w)
     return 0.25 * float(np.sum(v.comps * w.comps / p.coords))
-
-
-def fr_inner_report(v: TangentVector, w: TangentVector) -> MetricReport:
-    """Pair ``fr_inner`` with its residual against the sphere pullback."""
-    value = fr_inner(v, w)
-    other = pullback_inner(RootTransform(2.0), v, w)
-    return MetricReport(value=value, residual_vs_pullback=abs(value - other))
 
 
 def finsler_norm(v: TangentVector, q: float) -> float:

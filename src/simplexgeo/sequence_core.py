@@ -115,6 +115,8 @@ class TangentVector:
 
     def __post_init__(self):
         a = np.asarray(self.comps, dtype=float)
+        if a.ndim != 1:
+            raise DimensionTooSmall("components must be a one-dimensional vector")
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
         s = a.sum()
@@ -151,8 +153,8 @@ class SpherePoint:
     """
 
     coords: np.ndarray
-    q: float = 2.0
-    mass_deficit: float = 0.0
+    q: float
+    mass_deficit: float
 
     def __post_init__(self):
         check_exponent(self.q)
@@ -228,6 +230,8 @@ class SequenceSpec:
             if self.coords is None:
                 raise NotNormalizable("explicit spec needs coords")
             a = np.asarray(self.coords, dtype=float)
+            if a.ndim != 1:
+                raise DimensionTooSmall("coords must be a one-dimensional vector")
             if a.size != self.dim:
                 raise LengthMismatch(f"{a.size} coords but dim {self.dim}")
             object.__setattr__(self, "coords", _read_only(a))
@@ -263,9 +267,13 @@ class SequenceSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "SequenceSpec":
         coords = obj.get("coords")
+        dim = obj["dim"]
+        # bool is an int subclass; a JSON true is not a dimension.
+        if type(dim) is not int:
+            raise InvalidParameter(f"dim must be a JSON integer, got {dim!r}")
         return cls(
             kind=obj["kind"],
-            dim=int(obj["dim"]),
+            dim=dim,
             ratio=obj.get("ratio"),
             coords=None if coords is None else np.asarray(coords, dtype=float),
             normalize=obj.get("normalize", "simplex"),

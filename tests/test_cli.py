@@ -560,10 +560,16 @@ class TestRejectedInputs:
             (None, ["check-all", "--dim", "4", "--out", "MISSING/a.json"],
              "missing' does not exist"),
             (None, ["isometry", "--dim", "4", "--out", "DIR"], "is a directory"),
+            ({"kind": "explicit", "dim": 4, "coords": [[0.1, -0.1], [0.05, -0.05]]},
+             ["geodesic", "--dim", "4", "--p0", "uniform", "--v0", "FILE", "--t-max", "1",
+              "--dt", "0.1"], "coords must be a one-dimensional vector"),
+            ({"kind": "uniform", "dim": 4.7}, ["integrability", "--dim", "4", "--c", "FILE"],
+             "dim must be a JSON integer, got 4.7"),
         ],
         ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
              "v0-without-p0", "geodesic-lossy-p0", "grid-dt-1e-300", "grid-ratio-overflows",
-             "grid-1e12-rows", "grid-1e12-rows-rk4", "out-parent-missing", "out-is-directory"],
+             "grid-1e12-rows", "grid-1e12-rows-rk4", "out-parent-missing", "out-is-directory",
+             "file-v0-2d-coords", "file-dim-not-integer"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
         path = tmp_path / "spec.json"

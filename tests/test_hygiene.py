@@ -12,7 +12,11 @@ name counts as read the same way, or when a script under ``scripts/`` or
 ``tests/test_acceptance.py`` names it.  A defaulted parameter of a public
 module-level function counts as passed when some call of that name in the
 package, a script, ``tests/test_acceptance.py`` or ``perfbench/*.py`` gives
-it by keyword, by position or through ``*args`` / ``**kwargs``.
+it by keyword, by position or through ``*args`` / ``**kwargs``.  A defaulted
+field of a public ``@dataclass`` is the converse case: its default counts as
+used when some constructor call among the same callers leaves the field out,
+and a field that every call passes should be required (``init=False`` and
+``InitVar`` fields are skipped).
 ``__init__.py`` imports modules without using them, so it has its own
 rule: each public name has one import path, its home module.
 """
@@ -86,6 +90,56 @@ def unread_public_names(sources: list[str], readers: list[str]) -> list[str]:
     return _unread(sources, lambda name: not name.startswith("_"), readers)
 
 
+def _callee(node: ast.expr) -> str | None:
+    """The name a call or decorator ends in: ``f`` for ``f(...)``, ``mod.f`` and ``@f``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _defaulted_fields(node: ast.ClassDef) -> list[tuple[str, int]]:
+    """``(field, position in __init__)`` for each defaulted field of a dataclass body."""
+    fields, position = [], 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        annotation = ast.unparse(stmt.annotation)
+        if "ClassVar" in annotation:
+            continue
+        if isinstance(stmt.value, ast.Call) and _callee(stmt.value) == "field":
+            options = {kw.arg: kw.value for kw in stmt.value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            defaulted = "default" in options or "default_factory" in options
+        else:
+            defaulted = stmt.value is not None
+        if defaulted and "InitVar" not in annotation:
+            fields.append((stmt.target.id, position))
+        position += 1
+    return fields
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether a call gives ``param`` by keyword, by position or through ``*args`` / ``**kwargs``."""
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    keywords = {kw.arg for kw in call.keywords}
+    return (
+        param in keywords
+        or None in keywords  # **kwargs
+        or (position is not None and position < len(call.args))
+        or (position is not None and bool(starred) and starred[0] <= position)
+    )
+
+
+def _calls(callers: list[str], names) -> list[tuple[str, ast.Call]]:
+    """``(name, call)`` for each call in the callers whose callee is one of ``names``."""
+    return [
+        (_callee(call), call)
+        for caller in callers
+        for call in ast.walk(ast.parse(caller))
+        if isinstance(call, ast.Call) and _callee(call) in names
+    ]
+
+
 def unpassed_defaults(sources: list[str], callers: list[str]) -> list[str]:
     """``function(parameter)`` for each defaulted parameter of a public module-level
     function that no call of that name in the callers passes: a knob nobody turns."""
@@ -99,27 +153,42 @@ def unpassed_defaults(sources: list[str], callers: list[str]) -> list[str]:
                 params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
                 params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
                 defaults.setdefault(node.name, []).extend(params)
-    passed = set()
-    for caller in callers:
-        for call in ast.walk(ast.parse(caller)):
-            if not isinstance(call, ast.Call):
-                continue
-            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-            starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
-            keywords = {kw.arg for kw in call.keywords}
-            for param, position in defaults.get(name, ()):
-                if (
-                    param in keywords
-                    or None in keywords  # **kwargs
-                    or (position is not None and position < len(call.args))
-                    or (position is not None and starred and starred[0] <= position)
-                ):
-                    passed.add((name, param))
+    passed = {
+        (name, param)
+        for name, call in _calls(callers, defaults)
+        for param, position in defaults[name]
+        if _passes(call, param, position)
+    }
     return sorted(
         f"{name}({param})"
         for name, params in defaults.items()
         for param, _ in params
         if (name, param) not in passed
+    )
+
+
+def unused_field_defaults(sources: list[str], callers: list[str]) -> list[str]:
+    """``Class(field)`` for each defaulted field of a public dataclass that every
+    constructor call in the callers passes: a default no caller relies on."""
+    defaults = {
+        node.name: _defaulted_fields(node)
+        for source in sources
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        and not node.name.startswith("_")
+        and any(_callee(d) == "dataclass" for d in node.decorator_list)
+    }
+    relied_on = {
+        (name, field)
+        for name, call in _calls(callers, defaults)
+        for field, position in defaults[name]
+        if not _passes(call, field, position)
+    }
+    return sorted(
+        f"{name}({field})"
+        for name, fields in defaults.items()
+        for field, _ in fields
+        if (name, field) not in relied_on
     )
 
 
@@ -170,6 +239,21 @@ def test_checker_flags_a_default_no_caller_passes():
     assert unpassed_defaults([home], ["f(1, fast=True)\ng(1)\n"]) == ["f(scale)", "g(y)", "h(x)"]
 
 
+def test_checker_flags_a_dataclass_default_every_caller_overrides():
+    home = (
+        "@dataclass(frozen=True)\nclass Point:\n    x: float\n    q: float = 2.0\n"
+        "    cache: dict = field(init=False, default=None)\n    scale: InitVar[float] = 1.0\n"
+        "    tag: str = field(default='')\n    limit: ClassVar[int] = 3\n\n"
+        "@dataclasses.dataclass\nclass Box:\n    size: int = field(default_factory=int)\n\n"
+        "class Plain:\n    size: int = 1\n\n"
+        "@dataclass\nclass _Hidden:\n    size: int = 1\n"
+    )
+    assert unused_field_defaults([home], []) == ["Box(size)", "Point(q)", "Point(tag)"]
+    script = "Point(1.0, 3.0)\nmod.Box(size=2)\nPlain()\n_Hidden()\n"
+    assert unused_field_defaults([home], [script]) == ["Box(size)", "Point(q)"]
+    assert unused_field_defaults([home], ["Point(1.0, 2.0, 0.5, 'a')\nPoint(0.0)\nBox()\n"]) == []
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -196,12 +280,20 @@ def test_every_public_name_has_a_caller_besides_unit_tests():
     assert unread_public_names(sources, readers) == []
 
 
-def test_every_default_is_passed_by_a_caller_besides_unit_tests():
+def _package_and_callers() -> tuple[list[str], list[str]]:
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     callers = sources + [p.read_text(encoding="utf-8") for p in sorted(SCRIPTS.glob("*.py"))]
     callers.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     callers += [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
-    assert unpassed_defaults(sources, callers) == []
+    return sources, callers
+
+
+def test_every_default_is_passed_by_a_caller_besides_unit_tests():
+    assert unpassed_defaults(*_package_and_callers()) == []
+
+
+def test_every_dataclass_default_is_used_by_a_caller_besides_unit_tests():
+    assert unused_field_defaults(*_package_and_callers()) == []
 
 
 def test_package_namespace_binds_only_modules():

@@ -184,6 +184,11 @@ class TestSpecSerialization:
         with pytest.raises(NotNormalizable, match="unknown normalization 'sphere'"):
             SequenceSpec.from_json({"kind": "uniform", "dim": 3, "normalize": "sphere", "q": 3.0})
 
+    @pytest.mark.parametrize("dim", [4.0, True, "4"])
+    def test_dim_must_be_a_json_integer(self, dim):
+        with pytest.raises(InvalidParameter, match="dim must be a JSON integer"):
+            SequenceSpec.from_json({"kind": "uniform", "dim": dim})
+
 
 class TestSoftmaxCoords:
     def test_exact_unit_sum(self, rng):

@@ -164,3 +164,11 @@ def test_full_size_softmax_kernels_match_recorded_digests(tmp_path):
     runs = _recorded_digests()
     cmds = _load("workloads").build("trajectory", 3, str(tmp_path))
     _assert_digests([c for c in cmds if c.argv[0] in ("geodesic", "lp")], runs["full/trajectory/3"])
+
+
+def test_full_size_check_all_matches_recorded_digests(tmp_path):
+    # The smoke commands run isometry at N=8 only; check-all at N=8 and 16 and
+    # isometry at N=256 run here at full size.
+    runs = _recorded_digests()
+    cmds = _load("workloads").build("check-all", 3, str(tmp_path))
+    _assert_digests(cmds, runs["full/check-all/3"])

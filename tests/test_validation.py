@@ -50,6 +50,8 @@ def reference_simplex_point(coords, tail_bound):
 
 def reference_tangent(base, comps):
     a = np.asarray(comps, dtype=float)
+    if a.ndim != 1:
+        raise DimensionTooSmall("components must be a one-dimensional vector")
     if a.size != base.dim:
         raise LengthMismatch(f"components have length {a.size}, base has {base.dim}")
     if not np.all(np.isfinite(a)):
@@ -136,6 +138,7 @@ def test_simplex_point_matches_elementwise_checks(coords, tail_bound):
 @example(comps=np.array([1e308, 1e308, -1e308, -1e308])).via("overflowing partial sums")
 @example(comps=np.array([math.inf, -math.inf, 0.0, 0.0])).via("mixed infinities")
 @example(comps=np.array([math.nan, 0.0, 0.0, 0.0])).via("NaN")
+@example(comps=np.array([[0.1, -0.1], [0.05, -0.05]])).via("zero-sum block of the base's size")
 def test_tangent_vector_matches_elementwise_checks(comps):
     got = outcome(lambda: TangentVector(BASE, comps).comps)
     assert_same(got, outcome(reference_tangent, BASE, comps))
