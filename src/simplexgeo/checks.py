@@ -206,14 +206,11 @@ def check_flows(dim: int, seed: int) -> list[CheckResult]:
         ode = max(ode, flows.flow_ode_residual(obj, p0, float(rng.uniform(0.0, 2.0))))
         match = max(match, flows.flow_geodesic_correspondence(obj, p0))
         v = random_tangent(rng, p0)
-        w = flows.gradient_field(obj, p0)
-        four_w = sequence_core.make_tangent(p0, 4.0 * w.comps)
-        chain = max(
-            chain, abs(metrics.fr_inner(four_w, v) - float(np.dot(obj.c, v.comps)))
-        )
+        four_w = sequence_core.make_tangent(p0, 4.0 * flows.gradient_field(obj, p0.coords))
+        chain = max(chain, abs(metrics.fr_inner(four_w, v) - float(np.dot(obj.c, v.comps))))
     obj = flows.LinearObjective(np.array([1.0, 0.0] + [-(k + 1.0) for k in range(dim - 2)]))
     p0 = make_simplex_point(SequenceSpec("uniform", dim))
-    rk4 = flows.integrate_rk4(flows.gradient_vector_field(obj), p0, t_max=2.0, dt=1e-3)
+    rk4 = flows.integrate_rk4(obj, p0, t_max=2.0, dt=1e-3)
     endpoint = float(np.abs(rk4.coords[-1] - flows.flow_closed_form(obj, p0, 2.0).coords).sum())
     return [
         _result("flow ODE residual (l1)", ode, 1e-6),

@@ -45,7 +45,6 @@ from .flows import (
     LinearObjective,
     Trajectory,
     flow_trajectory,
-    gradient_vector_field,
     integrate_rk4,
     objective_value,
     solve_lp,
@@ -304,10 +303,8 @@ def _inputs(
 def _cmd_flow(
     cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, _geo, times: np.ndarray
 ) -> tuple[str, bool]:
-    if cfg.method == "closed":
-        traj = flow_trajectory(obj, p0, times)
-    else:
-        traj = integrate_rk4(gradient_vector_field(obj), p0, cfg.t_max, cfg.dt, objective=obj)
+    closed = cfg.method == "closed"
+    traj = flow_trajectory(obj, p0, times) if closed else integrate_rk4(obj, p0, cfg.t_max, cfg.dt)
     with np.errstate(over="ignore"):  # an increment beyond the float range is refused by _emit
         drops = float(np.diff(traj.objective).min()) if len(traj) > 1 else 0.0
     passed = drops >= FLOW_MIN_INCREMENT

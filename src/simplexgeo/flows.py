@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .connections import EGeodesic, VectorField, make_e_geodesic
+from .connections import EGeodesic, make_e_geodesic
 from .errors import (
     DimensionMismatch,
     GridTooLarge,
@@ -34,7 +33,9 @@ from .sequence_core import (
     TangentVector,
     _read_only,
     _require_finite,
-    make_tangent,
+    in_simplex,
+    is_zero_sum,
+    project_zero_sum,
     softmax_curve,
     softmax_rows,
 )
@@ -114,21 +115,12 @@ def objective_value(obj: LinearObjective, p: SimplexPoint) -> float:
     return float(np.dot(obj.c, p.coords))
 
 
-def gradient_field(obj: LinearObjective, p: SimplexPoint) -> TangentVector:
-    """Replicator-form ascent field W_n = p_n (c_n - <c, p>).
-
-    Zero-sum on unit-mass points; lossy truncations are projected back
-    onto the tangent plane.  Vanishes exactly when c is constant.
-    """
-    if obj.dim != p.dim:
-        raise DimensionMismatch(f"objective dim {obj.dim}, point dim {p.dim}")
-    w = p.coords * obj.c - float(np.dot(obj.c, p.coords)) * p.coords
-    return make_tangent(p, w)
-
-
-def gradient_vector_field(obj: LinearObjective):
-    """The ascent field as a reusable :class:`~simplexgeo.connections.VectorField`."""
-    return VectorField(lambda p: gradient_field(obj, p), label=f"ascent[dim={obj.dim}]")
+def gradient_field(obj: LinearObjective, x: np.ndarray) -> np.ndarray:
+    """Replicator-form ascent field W_n = x_n (c_n - <c, x>) at coordinates x, projected
+    by :func:`project_zero_sum` (so not validated).  Vanishes exactly when c is constant."""
+    if obj.dim != x.size:
+        raise DimensionMismatch(f"objective dim {obj.dim}, point dim {x.size}")
+    return project_zero_sum(x * obj.c - float(np.dot(obj.c, x)) * x)
 
 
 def flow_closed_form(obj: LinearObjective, p0: SimplexPoint, t: float) -> SimplexPoint:
@@ -144,7 +136,8 @@ def flow_ode_residual(obj: LinearObjective, p0: SimplexPoint, t: float) -> float
     plus = flow_closed_form(obj, p0, t + h).coords
     minus = flow_closed_form(obj, p0, t - h).coords
     fd = (plus - minus) / (2.0 * h)
-    w = gradient_field(obj, flow_closed_form(obj, p0, t)).comps
+    point = flow_closed_form(obj, p0, t)
+    w = TangentVector(point, gradient_field(obj, point.coords)).comps
     return float(np.abs(fd - w).sum())
 
 
@@ -170,7 +163,7 @@ def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -
     rows = np.empty((len(times), obj.dim))
     for i, t in enumerate(times):
         rows[i] = flow_closed_form(obj, p0, t).coords
-    # A field whose <c, p> overflows is reported by make_tangent's typed error alone.
+    # A field whose <c, p> overflows is reported by gradient_field's typed error alone.
     with np.errstate(over="ignore"):
         residuals = np.array([flow_ode_residual(obj, p0, t) for t in times])
     return Trajectory(times, rows, obj, residuals)
@@ -181,47 +174,52 @@ def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 
-def integrate_rk4(
-    field_fn: Callable[[SimplexPoint], TangentVector],
-    p0: SimplexPoint,
-    t_max: float,
-    dt: float,
-    objective: LinearObjective | None = None,
-) -> Trajectory:
-    """Fixed-step 4th-order integration of dp/dt = field(p).
+def integrate_rk4(obj: LinearObjective, p0: SimplexPoint, t_max: float, dt: float) -> Trajectory:
+    """Fixed-step 4th-order integration of dp/dt = gradient_field(obj, p), on plain arrays.
 
-    Each accepted state is renormalized to unit sum (the drift per step
-    is recorded) and positivity-checked; a step that leaves the open
-    simplex raises :class:`PositivityLost` so the caller can shrink dt.
+    Every stage point and every field is held to the rule of :class:`SimplexPoint` or
+    :class:`TangentVector`; one is built only to raise a failing rule's typed error.  Each
+    accepted state is renormalized to unit sum (the drift per step is recorded) and
+    positivity-checked; leaving the open simplex raises :class:`PositivityLost`.
     """
     times = time_grid(t_max, dt)
-
     tail = p0.tail_bound
-    point = p0
+
+    def field(x: np.ndarray) -> np.ndarray:
+        k = gradient_field(obj, x)
+        if not is_zero_sum(k):
+            TangentVector(SimplexPoint(x, tail_bound=tail), k)
+        return k
+
+    def stage(x: np.ndarray) -> np.ndarray:
+        if not in_simplex(x, tail):
+            SimplexPoint(x, tail_bound=tail)
+        return field(x)
+
+    coords = p0.coords
     rows = np.empty((times.size, p0.dim))
-    rows[0] = p0.coords
+    rows[0] = coords
     drifts = np.zeros(times.size)
-    # A stage that overflows leaves the simplex, which the point checks report as typed errors.
+    # A stage that overflows leaves the simplex, which the point rule reports as a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, times.size):
-            # k1 is taken at the accepted point itself; only the three inner stages build points.
-            coords = point.coords
             try:
-                k1 = field_fn(point).comps
-                k2 = field_fn(SimplexPoint(coords + 0.5 * dt * k1, tail_bound=tail)).comps
-                k3 = field_fn(SimplexPoint(coords + 0.5 * dt * k2, tail_bound=tail)).comps
-                k4 = field_fn(SimplexPoint(coords + dt * k3, tail_bound=tail)).comps
+                k1 = field(coords)
+                k2 = stage(coords + 0.5 * dt * k1)
+                k3 = stage(coords + 0.5 * dt * k2)
+                k4 = stage(coords + dt * k3)
             except NonPositiveCoordinate as exc:
                 raise PositivityLost("an RK4 stage left the open simplex; shrink dt") from exc
             coords = coords + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             s = float(coords.sum())
             drifts[i] = abs(1.0 - s)
             coords = coords / s
+            # Same-signed entries over their sum: a positive row is finite, sums to 1 within
+            # a few N eps and so passes the SimplexPoint rule; it needs no further check.
             if not (coords > 0.0).all():
                 raise PositivityLost("an RK4 step left the open simplex; shrink dt")
-            point = SimplexPoint(coords, tail_bound=tail)
-            rows[i] = point.coords
-    return Trajectory(times, rows, objective, drifts)
+            rows[i] = coords
+    return Trajectory(times, rows, obj, drifts)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +350,7 @@ def flow_geodesic_correspondence(
     objective coefficients shifted by the gauge <c, p0>; both curves are
     the same softmax curve, so the deviation is pure rounding.
     """
-    geo: EGeodesic = make_e_geodesic(p0, gradient_field(obj, p0))
+    geo: EGeodesic = make_e_geodesic(p0, TangentVector(p0, gradient_field(obj, p0.coords)))
     worst = 0.0
     for t in times:
         a = flow_closed_form(obj, p0, t).coords

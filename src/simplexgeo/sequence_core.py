@@ -56,6 +56,23 @@ def check_exponent(q: float | None) -> None:
         raise InvalidExponent(f"q must lie in (1, inf), got {q}")
 
 
+def in_simplex(a: np.ndarray, tail_bound: float) -> bool:
+    """Whether the float array ``a`` passes :class:`SimplexPoint`'s rule with ``tail_bound``."""
+    if a.ndim != 1 or a.size < 2:
+        return False
+    s, tol = float(a.sum()), membership_tol(a.size)
+    # A finite sum has finite terms, so with a positive minimum it settles both checks.
+    return (math.isfinite(s) and a.min() > 0.0 and 0.0 <= tail_bound < math.inf
+            and (abs(s - 1.0) <= tol if tail_bound == 0.0 else 1.0 - tail_bound - tol <= s <= 1.0 + tol))
+
+
+def is_zero_sum(a: np.ndarray) -> bool:
+    """Whether the 1-D float array ``a`` passes :class:`TangentVector`'s rule on its components."""
+    s = a.sum()
+    # A finite sum has finite terms; a NaN sum of finite terms fails no tolerance.
+    return (math.isfinite(s) or np.isfinite(a).all()) and not abs(s) > membership_tol(a.size)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -76,26 +93,21 @@ class SimplexPoint:
 
     def __post_init__(self):
         a = np.asarray(self.coords, dtype=float)
-        if a.ndim != 1:
-            raise DimensionTooSmall("coords must be a one-dimensional vector")
-        if a.size < 2:
-            raise DimensionTooSmall(f"need at least 2 coordinates, got {a.size}")
-        s = float(a.sum())
-        # A finite sum has finite terms, so with a positive minimum it settles both checks.
-        if not (math.isfinite(s) and a.min() > 0.0):
+        if not in_simplex(a, self.tail_bound):
+            # The rule failed; each check below names one of its parts, in order.
+            if a.ndim != 1:
+                raise DimensionTooSmall("coords must be a one-dimensional vector")
+            if a.size < 2:
+                raise DimensionTooSmall(f"need at least 2 coordinates, got {a.size}")
             _require_finite(a, "coordinate vector")
             if not (a > 0.0).all():
                 raise NonPositiveCoordinate("simplex coordinates must be strictly positive")
-        if not (self.tail_bound >= 0.0 and math.isfinite(self.tail_bound)):
-            raise NotNormalizable(f"tail bound must be finite and >= 0, got {self.tail_bound}")
-        tol = membership_tol(a.size)
-        if self.tail_bound == 0.0:
-            if abs(s - 1.0) > tol:
+            if not (self.tail_bound >= 0.0 and math.isfinite(self.tail_bound)):
+                raise NotNormalizable(f"tail bound must be finite and >= 0, got {self.tail_bound}")
+            s = float(a.sum())
+            if self.tail_bound == 0.0:
                 raise NotNormalizable(f"coordinates sum to {s}, expected 1")
-        elif not (1.0 - self.tail_bound - tol <= s <= 1.0 + tol):
-            raise NotNormalizable(
-                f"coordinates sum to {s}, outside [1 - {self.tail_bound}, 1]"
-            )
+            raise NotNormalizable(f"coordinates sum to {s}, outside [1 - {self.tail_bound}, 1]")
         object.__setattr__(self, "coords", _read_only(a))
 
     @property
@@ -119,11 +131,9 @@ class TangentVector:
             raise DimensionTooSmall("components must be a one-dimensional vector")
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
-        s = a.sum()
-        if not math.isfinite(s):
+        if not is_zero_sum(a):
             _require_finite(a, "component vector")
-        if abs(s) > membership_tol(a.size):
-            raise NotNormalizable(f"tangent components sum to {s}, expected 0")
+            raise NotNormalizable(f"tangent components sum to {a.sum()}, expected 0")
         object.__setattr__(self, "comps", _read_only(a))
 
     @property
@@ -200,6 +210,8 @@ class SphereTangent:
 
 _KINDS = ("uniform", "geometric", "explicit")
 _NORMALIZATIONS = ("simplex", "none")
+#: The ``file:`` keys a kind reads besides ``kind``, ``dim`` and ``normalize``.
+_KIND_KEYS = {"geometric": ("ratio",), "explicit": ("coords",)}
 
 
 @dataclass(frozen=True)
@@ -271,13 +283,18 @@ class SequenceSpec:
         # bool is an int subclass; a JSON true is not a dimension.
         if type(dim) is not int:
             raise InvalidParameter(f"dim must be a JSON integer, got {dim!r}")
-        return cls(
+        spec = cls(
             kind=obj["kind"],
             dim=dim,
             ratio=obj.get("ratio"),
             coords=None if coords is None else np.asarray(coords, dtype=float),
             normalize=obj.get("normalize", "simplex"),
         )
+        # A key the kind does not read (a misspelling included) would otherwise change the run unseen.
+        unread = sorted(set(obj) - {"kind", "dim", "normalize", *_KIND_KEYS.get(spec.kind, ())})
+        if unread:
+            raise InvalidParameter(f"unknown key {unread[0]!r} in a {spec.kind} spec")
+        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +333,25 @@ def make_simplex_point(spec: SequenceSpec) -> SimplexPoint:
 
 
 def make_tangent(base: SimplexPoint, raw) -> TangentVector:
-    """Project a raw vector onto the zero-sum hyperplane at ``base``.
-
-    A raw vector whose sum is already zero (within the membership
-    tolerance) is attached unchanged, which makes the operation
-    idempotent bit for bit.  Otherwise the mean is subtracted, repeating
-    if catastrophic cancellation leaves the residue above tolerance.
-    """
+    """Attach a raw vector at ``base`` after projecting it with :func:`project_zero_sum`."""
     a = np.asarray(raw, dtype=float)
     if a.size != base.dim:
         raise LengthMismatch(f"raw vector has length {a.size}, base has dim {base.dim}")
     # Raw vectors come from outside (the CLI's --v0), so finiteness is checked
     # before the sum: a sum over both infinities would raise numpy's RuntimeWarning.
     _require_finite(a, "raw vector")
-    # The constructor's sum is the one test of tangency; only a vector it rejects is projected.
-    try:
-        return TangentVector(base, a)
-    except NotNormalizable:
-        pass
-    projected = zero_sum_rows(a.reshape(1, -1), membership_tol(a.size)).reshape(a.shape)
-    return TangentVector(base, projected)
+    return TangentVector(base, project_zero_sum(a))
+
+
+def project_zero_sum(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when its sum is within the membership tolerance of 0, which makes
+    :func:`make_tangent` idempotent bit for bit, else its projection by :func:`zero_sum_rows`
+    (the mean subtracted, again while cancellation leaves the sum above tolerance).  Not validated."""
+    s = a.sum()
+    if not math.isfinite(s):  # a finite sum has finite terms
+        _require_finite(a, "raw vector")
+    tol = membership_tol(a.size)
+    return a if not abs(s) > tol else zero_sum_rows(a.reshape(1, -1), tol).reshape(a.shape)
 
 
 def zero_sum_rows(raw: np.ndarray, tol: float) -> np.ndarray:

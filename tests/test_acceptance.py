@@ -13,7 +13,6 @@ from simplexgeo.flows import (
     flow_closed_form,
     flow_geodesic_correspondence,
     flow_ode_residual,
-    gradient_vector_field,
     integrate_rk4,
     objective_value,
     solve_lp,
@@ -97,7 +96,7 @@ def test_criterion_3_gradient_flow_correctness():
     for _ in range(5):
         obj = LinearObjective(np.sort(rng.uniform(-1.0, 1.0, size=8))[::-1].copy())
         p0 = random_simplex_point(rng, 8)
-        traj = integrate_rk4(gradient_vector_field(obj), p0, t_max=2.0, dt=1e-3)
+        traj = integrate_rk4(obj, p0, t_max=2.0, dt=1e-3)
         gap = np.abs(traj.coords[-1] - flow_closed_form(obj, p0, 2.0).coords).sum()
         worst_rk = max(worst_rk, float(gap))
     report("3b RK4 oracle endpoint", worst_rk, 1e-6)

@@ -389,9 +389,22 @@ class TestNearTheFloatRange:
             (["integrability", "--dim", "3", "--c", "explicit:1e200,1e199,1", "--seed", "1"],
              "integrability dim=3 error in simplexgeo.cli._emit: "
              "an output value is NaN or infinite; no file was written\n"),
+            (["flow", "--dim", "2", "--c", "explicit:1e300,-1e300", "--p0", "uniform",
+              "--t-max", "1e10", "--dt", "1e9", "--method", "rk4"],
+             "flow dim=2 error in simplexgeo.sequence_core._require_finite: "
+             "coordinate vector contains NaN or infinity\n"),
+            (["flow", "--dim", "2", "--c", "explicit:1e300,-1e300", "--p0", "uniform",
+              "--t-max", "1", "--dt", "0.5", "--method", "rk4"],
+             "flow dim=2 error in simplexgeo.flows.integrate_rk4: "
+             "an RK4 stage left the open simplex; shrink dt\n"),
+            (["flow", "--dim", "3", "--c", "explicit:1e308,-1e308,0", "--p0", "uniform",
+              "--t-max", "1", "--dt", "0.5", "--method", "rk4"],
+             "flow dim=3 error in simplexgeo.sequence_core.__post_init__: "
+             "tangent components sum to -8.216030716619784e+288, expected 0\n"),
         ],
         ids=["flow-exponent-overflows", "lp-gap-overflows", "integrability-phase-overflows",
-             "integrability-bracket-overflows"],
+             "integrability-bracket-overflows", "rk4-stage-overflows", "rk4-stage-leaves-simplex",
+             "rk4-field-not-tangent"],
     )
     def test_typed_error_alone(self, tmp_path, capsys, recwarn, argv, err):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
@@ -565,11 +578,18 @@ class TestRejectedInputs:
               "--dt", "0.1"], "coords must be a one-dimensional vector"),
             ({"kind": "uniform", "dim": 4.7}, ["integrability", "--dim", "4", "--c", "FILE"],
              "dim must be a JSON integer, got 4.7"),
+            ({"kind": "geometric", "dim": 4, "ratio": 0.5, "normalise": "none"},
+             ["geodesic", "--dim", "4", "--p0", "FILE", "--v0", "explicit:0.1,-0.1,0,0",
+              "--t-max", "1", "--dt", "0.1"], "unknown key 'normalise' in a geometric spec"),
+            ({"kind": "uniform", "dim": 4, "coords": [5, 1, 1, 1]},
+             ["integrability", "--dim", "4", "--c", "FILE"],
+             "unknown key 'coords' in a uniform spec"),
         ],
         ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
              "v0-without-p0", "geodesic-lossy-p0", "grid-dt-1e-300", "grid-ratio-overflows",
              "grid-1e12-rows", "grid-1e12-rows-rk4", "out-parent-missing", "out-is-directory",
-             "file-v0-2d-coords", "file-dim-not-integer"],
+             "file-v0-2d-coords", "file-dim-not-integer", "file-misspelt-key",
+             "file-key-its-kind-ignores"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
         path = tmp_path / "spec.json"

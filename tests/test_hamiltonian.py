@@ -30,7 +30,7 @@ from simplexgeo.hamiltonian import (
     random_complex_point,
     wirtinger,
 )
-from simplexgeo.sequence_core import random_simplex_point
+from simplexgeo.sequence_core import make_tangent, random_simplex_point
 from simplexgeo.transforms import forward, pushforward
 
 
@@ -381,7 +381,7 @@ class TestKahlerIdentity:
             lift = ComplexPoint(forward(p, 2.0).coords.astype(complex))
             grad = horizontal_gradient(QuadraticHamiltonian(c), lift)
             np.testing.assert_allclose(grad.imag, 0.0, atol=1e-14)
-            w = gradient_field(LinearObjective(c), p)
+            w = make_tangent(p, gradient_field(LinearObjective(c), p.coords))
             push = pushforward(w, 2.0).comps
             np.testing.assert_allclose(grad.real, 4.0 * push, rtol=0, atol=1e-12)
 

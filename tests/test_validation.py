@@ -129,6 +129,10 @@ TAIL_BOUNDS = st.one_of(
 @example(coords=np.array([math.inf, -math.inf]), tail_bound=0.0).via("mixed infinities")
 @example(coords=np.array([0.5, -0.0, 0.5]), tail_bound=0.0).via("negative zero")
 @example(coords=np.array([0.5, 0.5]), tail_bound=math.nan).via("NaN tail bound")
+@example(coords=np.array([0.5, 0.5 + 1.5e-12]), tail_bound=0.0).via("sum just inside 1 + 2e-12")
+@example(coords=np.array([0.5, 0.5 + 3e-12]), tail_bound=0.0).via("sum just outside 1 + 2e-12")
+@example(coords=np.array([0.25, 0.25 - 1e-12]), tail_bound=0.5).via("sum just inside 0.5 - 2e-12")
+@example(coords=np.array([0.25, 0.25 - 3e-12]), tail_bound=0.5).via("sum just outside 0.5 - 2e-12")
 def test_simplex_point_matches_elementwise_checks(coords, tail_bound):
     got = outcome(lambda: SimplexPoint(coords, tail_bound=tail_bound).coords)
     assert_same(got, outcome(reference_simplex_point, coords, tail_bound))
@@ -139,6 +143,8 @@ def test_simplex_point_matches_elementwise_checks(coords, tail_bound):
 @example(comps=np.array([math.inf, -math.inf, 0.0, 0.0])).via("mixed infinities")
 @example(comps=np.array([math.nan, 0.0, 0.0, 0.0])).via("NaN")
 @example(comps=np.array([[0.1, -0.1], [0.05, -0.05]])).via("zero-sum block of the base's size")
+@example(comps=np.array([1.0, -1.0, 0.0, 3e-12])).via("sum just inside 4e-12")
+@example(comps=np.array([1.0, -1.0, 0.0, 5e-12])).via("sum just outside 4e-12")
 def test_tangent_vector_matches_elementwise_checks(comps):
     got = outcome(lambda: TangentVector(BASE, comps).comps)
     assert_same(got, outcome(reference_tangent, BASE, comps))
