@@ -121,6 +121,8 @@ class RunConfig:
             raise ConfigError(f"method must be 'closed' or 'rk4', got {self.method!r}")
         if self.format not in (None, "csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
+        if self.format == "csv" and self.command not in ("flow", "geodesic", "lp"):
+            raise ConfigError(f"format 'csv' is for flow, geodesic and lp; {self.command} writes JSON")
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.seed < 0:

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import sequence_core
 from .errors import (
     BaseMismatch,
     CurveDomain,
@@ -25,7 +26,6 @@ from .errors import (
 from .sequence_core import (
     SimplexPoint,
     TangentVector,
-    _SOFTMAX_BLOCK,
     _read_only,
     _require_finite,
     _softmax_block,
@@ -239,7 +239,7 @@ def e_geodesic_residual_rows(geo: EGeodesic, times) -> tuple[np.ndarray, np.ndar
     log_p0 = np.log(geo.p0.coords)
     n = geo.p0.dim
     residuals = np.empty(times.size)
-    step = max(1, _SOFTMAX_BLOCK // (6 * n))
+    step = max(1, sequence_core._SOFTMAX_BLOCK // (6 * n))
     for lo in range(0, times.size, step):
         t = times[lo : lo + step]
         plus, minus = t + h, t - h

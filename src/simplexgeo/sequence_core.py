@@ -30,8 +30,9 @@ from .errors import (
 
 #: Smallest positive normal double; underflow flush target for softmax curves.
 TINY = float(np.finfo(float).tiny)
-#: Most coordinates one block of softmax rows holds (whole rows, at least one).
-_SOFTMAX_BLOCK = 2**16
+#: Most coordinates one block of softmax rows holds (whole rows, at least one);
+#: each float64 temporary of a block is then 128 KiB.  Read at call time.
+_SOFTMAX_BLOCK = 2**14
 
 
 def membership_tol(dim: int) -> float:

@@ -584,12 +584,18 @@ class TestRejectedInputs:
             ({"kind": "uniform", "dim": 4, "coords": [5, 1, 1, 1]},
              ["integrability", "--dim", "4", "--c", "FILE"],
              "unknown key 'coords' in a uniform spec"),
+            (None, ["isometry", "--dim", "8", "--format", "csv"], "isometry writes JSON"),
+            (None, ["bracket", "--dim", "4", "--format", "csv"], "bracket writes JSON"),
+            (None, ["integrability", "--dim", "4", "--c", "uniform", "--format", "csv"],
+             "integrability writes JSON"),
+            (None, ["check-all", "--dim", "4", "--format", "csv"], "check-all writes JSON"),
         ],
         ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
              "v0-without-p0", "geodesic-lossy-p0", "grid-dt-1e-300", "grid-ratio-overflows",
              "grid-1e12-rows", "grid-1e12-rows-rk4", "out-parent-missing", "out-is-directory",
              "file-v0-2d-coords", "file-dim-not-integer", "file-misspelt-key",
-             "file-key-its-kind-ignores"],
+             "file-key-its-kind-ignores", "csv-isometry", "csv-bracket", "csv-integrability",
+             "csv-check-all"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
         path = tmp_path / "spec.json"
@@ -607,6 +613,17 @@ class TestRejectedInputs:
         # Nothing is computed or written: no output, no temp file, no new directory.
         assert sorted(os.listdir(tmp_path)) == ["dir", "spec.json"]
         assert os.listdir(tmp_path / "dir") == []
+
+    def test_csv_format_from_a_config_rejected(self, tmp_path, capsys):
+        # The JSON-only commands used to write their JSON report into the .csv file.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"format": "csv"}))
+        argv = ["isometry", "--dim", "8", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: format 'csv' is for flow, geodesic and lp; isometry writes JSON\n"
+        )
+        assert os.listdir(tmp_path) == ["c.json"]
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--t-max", "1", "--dt", "0.1"],

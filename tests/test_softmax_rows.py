@@ -6,6 +6,7 @@ of ``float(np.abs(e_connection_residual(geo, t)).sum())``, and raise
 exactly what a loop that builds every row before any residual raises.
 """
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplexgeo import connections, sequence_core
+from simplexgeo import sequence_core
 from simplexgeo.cli import main
 from simplexgeo.connections import EGeodesic, e_connection_residual, e_geodesic_residual_rows
 from simplexgeo.errors import CurveDomain, NonFiniteInput
@@ -85,7 +86,7 @@ def scalar_geodesic(geo, times):
     block=st.sampled_from([None, 1, 2**9]),
 )
 @example(dim=300, seed=0, p0_kind="gamma", ratio=0.5, a_kind="normal", t_scale=10.0,
-         rows=500, block=None).via("crosses the default block bound twice")
+         rows=500, block=None).via("crosses the default block bound several times")
 @example(dim=64, seed=1, p0_kind="uniform", ratio=0.5, a_kind="integers", t_scale=1.0,
          rows=40, block=None).via("tied coordinates")
 @example(dim=100, seed=2, p0_kind="geometric", ratio=0.01, a_kind="normal", t_scale=1e6,
@@ -146,10 +147,40 @@ def test_residual_rows_bitwise_equal_scalar_residual(
     if block is None:
         got = outcome(lambda: e_geodesic_residual_rows(geo, times))
     else:
-        with mock.patch.object(sequence_core, "_SOFTMAX_BLOCK", block), \
-                mock.patch.object(connections, "_SOFTMAX_BLOCK", block):
+        with mock.patch.object(sequence_core, "_SOFTMAX_BLOCK", block):
             got = outcome(lambda: e_geodesic_residual_rows(geo, times))
     assert same(got, want)
+
+
+def traced_peak(fn):
+    """The result of one call of fn and the ``tracemalloc`` peak of that call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize(
+    "kernel, dim, times",
+    [("residual", 64, np.linspace(0.0, 10.0, 1001)), ("rows", 1024, np.linspace(0.0, 50.0, 50))],
+    ids=["residual", "rows"],
+)
+def test_working_memory_is_a_few_blocks_beyond_the_output(kernel, dim, times):
+    # The shapes of `geodesic --dim 64` and of the `lp` rate fit at N = 1024, with
+    # exponents below 0.5 as in the benchmark.  Beyond the arrays it returns, one
+    # call may hold 1 MiB, eight 128 KiB blocks; 2^16-coordinate blocks took 3.6 and 2.3 MB.
+    rng = np.random.default_rng(3)
+    p0 = start_point("gamma", dim, rng, None)
+    a = rng.uniform(-0.5, 0.5, size=dim)
+    if kernel == "residual":
+        geo = EGeodesic(p0, a - float(np.dot(p0.coords, a)))
+        out, peak = traced_peak(lambda: e_geodesic_residual_rows(geo, times))
+    else:
+        out, peak = traced_peak(lambda: (softmax_rows(p0, a, times),))
+    assert peak <= sum(x.nbytes for x in out) + 2**20
 
 
 def test_overflowing_velocity_raises_the_scalar_error(recwarn):
