@@ -225,9 +225,8 @@ def check_hamiltonian(dim: int, seed: int) -> list[CheckResult]:
     c = np.sort(rng.uniform(0.5, 3.0, size=dim))[::-1].copy()
     report = hamiltonian.integrability_suite(c, trials=3, seed=seed)
     kahler = 0.0
-    pair = [hamiltonian.CoordinateReal(0), hamiltonian.CoordinateImag(0)]
     z = hamiltonian.random_complex_point(rng, dim)
-    canonical = abs(hamiltonian.poisson_bracket(*hamiltonian.wirtinger(pair, z)) - 1.0)
+    canonical = abs(hamiltonian.poisson_bracket(*hamiltonian.coordinate_jets(z, 0)) - 1.0)
     for _ in range(3):
         z = hamiltonian.random_complex_point(rng, dim)
         kahler = max(kahler, hamiltonian.kahler_gradient_check(hamiltonian.QuadraticHamiltonian(c), z))

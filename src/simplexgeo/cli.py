@@ -52,15 +52,13 @@ from .flows import (
 )
 from .hamiltonian import (
     CANONICAL_TOL,
-    CoordinateImag,
-    CoordinateReal,
     bracket_max,
     brackets_vanish,
     coordinate_hamiltonian,
+    coordinate_jets,
     integrability_suite,
     poisson_bracket,
     random_complex_point,
-    wirtinger,
 )
 from .sequence_core import (
     SequenceSpec,
@@ -379,7 +377,7 @@ def _cmd_isometry(cfg: RunConfig, *_) -> tuple[str, bool]:
 def _cmd_bracket(cfg: RunConfig, *_) -> tuple[str, bool]:
     rng = np.random.default_rng(cfg.seed)
     z = random_complex_point(rng, cfg.dim)
-    canonical = poisson_bracket(*wirtinger([CoordinateReal(0), CoordinateImag(0)], z))
+    canonical = poisson_bracket(*coordinate_jets(z, 0))
     c = rng.uniform(0.5, 3.0, size=cfg.dim)
     modes = [coordinate_hamiltonian(c, k) for k in range(cfg.dim)]
     analytic_max, numeric_max = bracket_max(modes, z)

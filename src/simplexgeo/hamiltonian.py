@@ -7,15 +7,17 @@ Momentum maps are imaginary-valued; only their real coefficients are
 returned, the factor i being fixed bookkeeping.
 
 Bracket convention: {f, g} = 2i sum_j (df/dzbar_j dg/dz_j - df/dz_j dg/dzbar_j),
-pinned numerically by {Re z_0, Im z_0} = 1.  Under it a diagonal quadratic
-with weights w generates the explicit flow z_n(t) = z_n(0) exp(2i w_n t).
+pinned numerically by {Re z_0, Im z_0} = 1.  The flow a diagonal quadratic H
+with weights w generates, z_n(t) = z_n(0) exp(2i w_n t), carries H in the
+first slot: d f(z(t))/dt = {H, f} = -{f, H}.  The observables differentiated
+are the diagonal quadratics (:func:`wirtinger`) and the coordinates
+Re z_k, Im z_k of the canonical pair (:func:`coordinate_jets`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -105,41 +107,6 @@ def coordinate_hamiltonian(c, n: int) -> QuadraticHamiltonian:
     return QuadraticHamiltonian(w)
 
 
-@dataclass(frozen=True)
-class _Coordinate:
-    """Observable reading one coordinate z_k; the index must be >= 0."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise InvalidParameter(f"coordinate index must be >= 0, got {self.index}")
-
-    def at(self, n: int) -> int:
-        """The index, checked against a point of dim n."""
-        if self.index >= n:
-            raise DimensionMismatch(f"coordinate index {self.index}, point dim {n}")
-        return self.index
-
-
-@dataclass(frozen=True)
-class CoordinateReal(_Coordinate):
-    """Observable Re z_k (registered analytic form for Wirtinger calculus)."""
-
-    def __call__(self, z) -> float:
-        a = _coords_of(z)
-        return float(a[self.at(a.size)].real)
-
-
-@dataclass(frozen=True)
-class CoordinateImag(_Coordinate):
-    """Observable Im z_k (registered analytic form for Wirtinger calculus)."""
-
-    def __call__(self, z) -> float:
-        a = _coords_of(z)
-        return float(a[self.at(a.size)].imag)
-
-
 # ---------------------------------------------------------------------------
 # the torus momentum map and Hamiltonian values
 # ---------------------------------------------------------------------------
@@ -173,60 +140,35 @@ def _quadratic_rows(weights: np.ndarray, abs2: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row_values(f: Callable, rows: np.ndarray, abs2: np.ndarray | None) -> np.ndarray:
-    """f at every row of a perturbation block; ``abs2`` is |rows|^2 when f is quadratic."""
-    if isinstance(f, QuadraticHamiltonian):
-        return _quadratic_rows(f.weights, abs2)
-    return np.array([f(row) for row in rows])
+def _row_values(H: QuadraticHamiltonian, abs2: np.ndarray) -> np.ndarray:
+    """H at every row of a perturbation block, read from the rows' |z|^2."""
+    return _quadratic_rows(H.weights, abs2)
 
 
-def _registered_jet(f: Callable, a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact (df/dz, df/dzbar) of a registered form at a; None for any other observable."""
-    if isinstance(f, QuadraticHamiltonian):
-        _check_dim(f, a.size)
-        return f.weights * a.conjugate(), f.weights * a
-    if isinstance(f, CoordinateReal):
-        dz = np.zeros(a.size, dtype=complex)
-        dz[f.at(a.size)] = 0.5
-        return dz, dz.copy()
-    if isinstance(f, CoordinateImag):
-        k = f.at(a.size)
-        dz = np.zeros(a.size, dtype=complex)
-        dzbar = np.zeros(a.size, dtype=complex)
-        dz[k] = -0.5j
-        dzbar[k] = 0.5j
-        return dz, dzbar
-    return None
+def wirtinger(hamiltonians: list[QuadraticHamiltonian], z, numeric: bool = False) -> list[tuple]:
+    """1-jets (dH/dz, dH/dzbar) of every diagonal quadratic at z, in order.
 
-
-def wirtinger(observables: list[Callable], z, numeric: bool = False) -> list[tuple]:
-    """1-jets (df/dz, df/dzbar) of every observable at z, in order.
-
-    Registered forms (diagonal quadratics, coordinate real and imaginary
-    parts) get exact derivatives.  Every other observable, and every one
-    when ``numeric`` is set (how the oracle cross-checks the exact forms),
-    gets central differences from one perturbation stack.
+    The exact jets are (w * conj(z), w * z); with ``numeric`` set (how the
+    oracle cross-checks them) they are central differences on one
+    perturbation stack.  Anything but a :class:`QuadraticHamiltonian`
+    raises before any work.
 
     The stack holds z + e_j, z - e_j, z + i e_j and z - i e_j for each
-    coordinate j, where e_j is the step on coordinate j, built as z +- D
-    so that each row is bitwise the vector a per-coordinate loop would
-    evaluate, signed zeros included.  Quadratics evaluate all rows at
-    once from one shared |row|^2; any other observable is called row by
-    row on the read-only stack.  The stack is built in blocks of at most
-    ``_STACK_BLOCK`` entries (whole coordinates at a time, at least one).
+    coordinate j, e_j the step on coordinate j, built as z +- D so that
+    each row is bitwise the vector a per-coordinate loop would evaluate;
+    every quadratic reads all rows from one shared |row|^2.  The stack is
+    built in blocks of at most ``_STACK_BLOCK`` entries (whole coordinates
+    at a time, at least one).
     """
     a = _coords_of(z)
     n = a.size
-    jets = [None if numeric else _registered_jet(f, a) for f in observables]
-    stacked = [k for k, jet in enumerate(jets) if jet is None]
-    if not stacked:
-        return jets
-    quadratic = False
-    for k in stacked:
-        if isinstance(observables[k], QuadraticHamiltonian):
-            _check_dim(observables[k], n)
-            quadratic = True
-    dz = np.empty((len(stacked), n), dtype=complex)
+    for H in hamiltonians:
+        if not isinstance(H, QuadraticHamiltonian):
+            raise InvalidParameter(f"wirtinger takes QuadraticHamiltonians, got {type(H).__name__}")
+        _check_dim(H, n)
+    if not numeric:
+        return [(H.weights * a.conjugate(), H.weights * a) for H in hamiltonians]
+    dz = np.empty((len(hamiltonians), n), dtype=complex)
     dzbar = np.empty_like(dz)
     width = max(1, _STACK_BLOCK // (4 * n))
     for lo in range(0, n, width):
@@ -234,28 +176,42 @@ def wirtinger(observables: list[Callable], z, numeric: bool = False) -> list[tup
         m = block.stop - lo
         d = np.zeros((m, n), dtype=complex)
         d[np.arange(m), np.arange(lo, block.stop)] = WIRTINGER_STEP
-        rows = np.concatenate((a + d, a - d, a + 1j * d, a - 1j * d))
-        rows.setflags(write=False)
-        abs2 = np.abs(rows) ** 2 if quadratic else None
-        for i, k in enumerate(stacked):
-            plus_x, minus_x, plus_y, minus_y = _row_values(observables[k], rows, abs2).reshape(4, m)
+        abs2 = np.abs(np.concatenate((a + d, a - d, a + 1j * d, a - 1j * d))) ** 2
+        for i, H in enumerate(hamiltonians):
+            plus_x, minus_x, plus_y, minus_y = _row_values(H, abs2).reshape(4, m)
             df_dx = (plus_x - minus_x) / (2.0 * WIRTINGER_STEP)
             df_dy = (plus_y - minus_y) / (2.0 * WIRTINGER_STEP)
             dz[i, block] = 0.5 * (df_dx - 1j * df_dy)
             dzbar[i, block] = 0.5 * (df_dx + 1j * df_dy)
-    for i, k in enumerate(stacked):
-        jets[k] = (dz[i], dzbar[i])
-    return jets
+    return list(zip(dz, dzbar))
+
+
+def coordinate_jets(z, k: int) -> tuple[tuple, tuple]:
+    """Exact 1-jets of Re z_k and Im z_k at z: (1/2, 1/2) and (-i/2, i/2) at coordinate k.
+
+    Both are zero elsewhere, and ``poisson_bracket(*coordinate_jets(z, k))``
+    is the canonical pair {Re z_k, Im z_k} = 1.
+    """
+    n = _coords_of(z).size
+    if k < 0:
+        raise InvalidParameter(f"coordinate index must be >= 0, got {k}")
+    if k >= n:
+        raise DimensionMismatch(f"coordinate index {k}, point dim {n}")
+    re_dz = np.zeros(n, dtype=complex)
+    re_dz[k] = 0.5
+    im_dz, im_dzbar = np.zeros((2, n), dtype=complex)
+    im_dz[k], im_dzbar[k] = -0.5j, 0.5j
+    return (re_dz, re_dz.copy()), (im_dz, im_dzbar)
 
 
 def poisson_bracket(df: tuple, dg: tuple) -> float:
     """Canonical bracket 2i sum_j (df/dzbar dg/dz - df/dz dg/dzbar) of two 1-jets.
 
-    ``df`` and ``dg`` are (df/dz, df/dzbar) pairs from :func:`wirtinger`
-    at one point: a bracket reads nothing else.  Real-valued observables
-    give a real bracket; an imaginary part above 1e-10 signals a non-real
-    or buggy field and raises.  The returned real part is evaluated in
-    real arithmetic (for real observables the bracket reduces to
+    ``df`` and ``dg`` are (df/dz, df/dzbar) pairs at one point, from
+    :func:`wirtinger` or :func:`coordinate_jets`: a bracket reads nothing
+    else.  Real observables give a real bracket; an imaginary part above
+    1e-10 signals a jet of a non-real one and raises.  The returned real
+    part is evaluated in real arithmetic (for real observables the bracket reduces to
     -4 sum Im(conj(df/dz) dg/dz)), so structurally cancelling terms, e.g.
     derivatives with disjoint supports, give exactly 0.0 regardless of
     fused-multiply complex rounding.
@@ -273,11 +229,11 @@ def _max_or_nan(values: list[float]) -> float:
     return float(np.max(values, initial=0.0))
 
 
-def bracket_max(observables: list[Callable], z) -> tuple[float, float]:
+def bracket_max(hamiltonians: list[QuadraticHamiltonian], z) -> tuple[float, float]:
     """Largest |{f, g}| over pairs f before g: (analytic path, finite-difference path).
 
     A bracket reads only the 1-jets of f and g at z, so each path makes
-    one :func:`wirtinger` call for all M observables (the numeric one
+    one :func:`wirtinger` call for all M quadratics (the numeric one
     builds one perturbation stack of 4N rows) and every pair reads them.
     Each pair still goes through :func:`poisson_bracket`, with its
     imaginary-part check.  A NaN bracket makes its path's maximum NaN.
@@ -286,10 +242,10 @@ def bracket_max(observables: list[Callable], z) -> tuple[float, float]:
     analytic_abs = []
     numeric_abs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        analytic = wirtinger(observables, z)
-        numeric = wirtinger(observables, z, numeric=True)
-        for k in range(len(observables)):
-            for m in range(k + 1, len(observables)):
+        analytic = wirtinger(hamiltonians, z)
+        numeric = wirtinger(hamiltonians, z, numeric=True)
+        for k in range(len(hamiltonians)):
+            for m in range(k + 1, len(hamiltonians)):
                 analytic_abs.append(abs(poisson_bracket(analytic[k], analytic[m])))
                 numeric_abs.append(abs(poisson_bracket(numeric[k], numeric[m])))
     return _max_or_nan(analytic_abs), _max_or_nan(numeric_abs)

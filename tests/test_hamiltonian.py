@@ -13,12 +13,11 @@ from simplexgeo.hamiltonian import (
     BRACKET_TOL,
     WIRTINGER_STEP,
     ComplexPoint,
-    CoordinateImag,
-    CoordinateReal,
     QuadraticHamiltonian,
     bracket_max,
     brackets_vanish,
     coordinate_hamiltonian,
+    coordinate_jets,
     hamiltonian_flow,
     hamiltonian_value,
     hamiltonian_vector_field,
@@ -112,10 +111,25 @@ class TestWirtinger:
         assert dz[1] == 2.0 * z.coords[1].conjugate()
 
     def test_constant_field(self, rng):
+        # Zero weights: the constant field 0, whose 1-jets vanish on both paths.
         z = random_complex_point(rng, 4)
-        [(dz, dzbar)] = wirtinger([lambda w: 1.5], z)
-        np.testing.assert_allclose(dz, 0.0, atol=1e-10)
-        np.testing.assert_allclose(dzbar, 0.0, atol=1e-10)
+        for numeric in (False, True):
+            [(dz, dzbar)] = wirtinger([QuadraticHamiltonian(np.zeros(4))], z, numeric)
+            np.testing.assert_array_equal(dz, 0.0)
+            np.testing.assert_array_equal(dzbar, 0.0)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    @pytest.mark.parametrize("first", [False, True])
+    def test_callable_rejected_before_any_work(self, rng, evaluations, numeric, first):
+        z = random_complex_point(rng, 4)
+        called = []
+        field = lambda w: called.append(w) or 1.5  # noqa: E731
+        quadratics = [QuadraticHamiltonian(np.ones(4))]
+        observables = [field, *quadratics] if first else [*quadratics, field]
+        with pytest.raises(InvalidParameter, match="got function"):
+            wirtinger(observables, z, numeric)
+        assert called == []
+        assert evaluations == {"rows": 0, "quadratic_calls": 0}
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_quadratic_longer_than_point_rejected(self, numeric):
@@ -127,16 +141,15 @@ class TestWirtinger:
         with pytest.raises(DimensionMismatch):
             wirtinger([QuadraticHamiltonian(np.ones(2))], random_complex_point(rng, 3), numeric)
 
-    @pytest.mark.parametrize("numeric", [False, True])
-    @pytest.mark.parametrize("kind", [CoordinateReal, CoordinateImag])
-    def test_coordinate_past_the_point_rejected(self, rng, kind, numeric):
-        with pytest.raises(DimensionMismatch):
-            wirtinger([kind(5)], random_complex_point(rng, 3), numeric)
+    @pytest.mark.parametrize("k", [3, 4, 5, 10])
+    def test_coordinate_past_the_point_rejected(self, rng, k):
+        with pytest.raises(DimensionMismatch, match=f"coordinate index {k}, point dim 3"):
+            coordinate_jets(random_complex_point(rng, 3), k)
 
-    @pytest.mark.parametrize("kind", [CoordinateReal, CoordinateImag])
-    def test_negative_coordinate_rejected(self, kind):
-        with pytest.raises(InvalidParameter):
-            kind(-1)
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_coordinate_rejected(self, rng, k):
+        with pytest.raises(InvalidParameter, match="coordinate index must be >= 0"):
+            coordinate_jets(random_complex_point(rng, 3), k)
 
     def test_numeric_matches_analytic(self, rng):
         for _ in range(10):
@@ -168,28 +181,49 @@ class TestPoissonBracket:
 
     def test_canonical_pair(self, rng):
         z = random_complex_point(rng, 4)
-        assert poisson_bracket(*wirtinger([CoordinateReal(0), CoordinateImag(0)], z)) == 1.0
-        assert poisson_bracket(*wirtinger([CoordinateImag(0), CoordinateReal(0)], z)) == -1.0
+        for k in range(4):
+            re, im = coordinate_jets(z, k)
+            assert poisson_bracket(re, im) == 1.0
+            assert poisson_bracket(im, re) == -1.0
+
+    def test_coordinate_jets_values(self, rng):
+        z = random_complex_point(rng, 3)
+        (re_dz, re_dzbar), (im_dz, im_dzbar) = coordinate_jets(z.coords, 1)
+        np.testing.assert_array_equal(re_dz, [0.0, 0.5, 0.0])
+        np.testing.assert_array_equal(re_dzbar, [0.0, 0.5, 0.0])
+        np.testing.assert_array_equal(im_dz, [0.0, -0.5j, 0.0])
+        np.testing.assert_array_equal(im_dzbar, [0.0, 0.5j, 0.0])
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_flow_moves_coordinates_by_h_first(self, rng, n):
+        # Along the flow of H, d f(z(t))/dt = {H, f} = -{f, H}: H takes the first slot.
+        h = 1e-6
+        for _ in range(3):
+            H = QuadraticHamiltonian(rng.uniform(-3.0, 3.0, n))
+            z = random_complex_point(rng, n)
+            [jet] = wirtinger([H], z)
+            velocity = (hamiltonian_flow(H, z, h).coords - hamiltonian_flow(H, z, -h).coords) / (2.0 * h)
+            for k in range(n):
+                for f_jet, rate in zip(coordinate_jets(z, k), (velocity[k].real, velocity[k].imag)):
+                    assert rate == pytest.approx(poisson_bracket(jet, f_jet), abs=1e-8)
+                    assert rate == pytest.approx(-poisson_bracket(f_jet, jet), abs=1e-8)
 
     def test_numeric_path_agrees(self, rng):
+        # A quadratic's numeric 1-jet brackets with the exact coordinate jets as its exact one does.
+        H = QuadraticHamiltonian(rng.uniform(-3.0, 3.0, 4))
         z = random_complex_point(rng, 4)
-        val = poisson_bracket(*wirtinger([CoordinateReal(0), CoordinateImag(0)], z, numeric=True))
-        assert val == pytest.approx(1.0, abs=1e-8)
+        [exact], [numeric] = wirtinger([H], z), wirtinger([H], z, numeric=True)
+        for k in range(4):
+            for jet in coordinate_jets(z, k):
+                assert poisson_bracket(numeric, jet) == pytest.approx(poisson_bracket(exact, jet), abs=1e-8)
 
-    def test_complex_field_rejected(self, rng):
-        z = random_complex_point(rng, 3)
+    def test_complex_field_rejected(self):
+        # The 1-jet of the holomorphic z_0 is (e_0, 0); its bracket with |z|^2 is -2i z_0.
+        z = ComplexPoint(np.ones(3) / np.sqrt(3.0))
+        holomorphic = (np.array([1.0, 0.0, 0.0], dtype=complex), np.zeros(3, dtype=complex))
+        [jet] = wirtinger([QuadraticHamiltonian(np.ones(3))], z)
         with pytest.raises(ComplexResidue):
-            poisson_bracket(*wirtinger([lambda w: w[0], QuadraticHamiltonian(np.ones(3))], z))
-
-
-def quartic(w) -> float:
-    """A real observable with no registered form: sum |w_n|^4."""
-    return float(np.sum(np.abs(w) ** 4))
-
-
-def signed_zero_field(k: int):
-    """A real observable that reads the sign of zero parts of coordinate k."""
-    return lambda w: math.copysign(0.25, w[k].real) + math.copysign(0.5, w[k].imag)
+            poisson_bracket(holomorphic, jet)
 
 
 def loop_wirtinger(f, z):
@@ -215,6 +249,7 @@ class TestStackedWirtinger:
     @settings(max_examples=30)
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0))
     @example(n=300, seed=0, zeros=0.3)
+    @example(n=7, seed=1, zeros=1.0)
     def test_bitwise_equals_loop(self, n, seed, zeros):
         rng = np.random.default_rng(seed)
         z = np.empty(n, dtype=complex)
@@ -225,15 +260,13 @@ class TestStackedWirtinger:
         w = rng.standard_normal(n)
         w[rng.random(n) < zeros] = 0.0
         k, m = (int(i) for i in rng.integers(0, n, 2))
-        observables = [
+        quadratics = [
             QuadraticHamiltonian(w),
             coordinate_hamiltonian(w, k),
-            CoordinateReal(k),
-            CoordinateImag(m),
-            quartic,
-            signed_zero_field(m),
+            coordinate_hamiltonian(w, m),
+            QuadraticHamiltonian(np.zeros(n)),
         ]
-        for f, (dz, dzbar) in zip(observables, wirtinger(observables, z, numeric=True)):
+        for f, (dz, dzbar) in zip(quadratics, wirtinger(quadratics, z, numeric=True)):
             ref_dz, ref_dzbar = loop_wirtinger(f, z)
             assert np.array_equal(bits(dz), bits(ref_dz)), f
             assert np.array_equal(bits(dzbar), bits(ref_dzbar)), f
@@ -241,7 +274,7 @@ class TestStackedWirtinger:
     def test_mismatched_quadratic_rejected(self, rng):
         z = random_complex_point(rng, 4).coords
         with pytest.raises(DimensionMismatch):
-            wirtinger([quartic, QuadraticHamiltonian(np.ones(5))], z, numeric=True)
+            wirtinger([QuadraticHamiltonian(np.ones(n)) for n in (4, 5)], z, numeric=True)
 
     def test_memory_is_bounded_in_blocks(self, rng):
         # An unblocked (4N, N) stack with its |z|^2 would need about 400 MB here.
@@ -263,9 +296,9 @@ def evaluations(monkeypatch):
     row_values = hamiltonian._row_values
     call = QuadraticHamiltonian.__call__
 
-    def rows(f, block, abs2):
-        counts["rows"] += len(block)
-        return row_values(f, block, abs2)
+    def rows(H, abs2):
+        counts["rows"] += len(abs2)
+        return row_values(H, abs2)
 
     def counted(self, z):
         counts["quadratic_calls"] += 1
@@ -283,25 +316,27 @@ class TestBracketMax:
         z = random_complex_point(rng, n)
         c = rng.uniform(-3.0, 3.0, n)
         k, m = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        observables = data.draw(st.permutations([
+        quadratics = data.draw(st.permutations([
             QuadraticHamiltonian(c),
+            QuadraticHamiltonian(rng.uniform(-3.0, 3.0, n)),
             coordinate_hamiltonian(c, k),
             coordinate_hamiltonian(c, m),
-            CoordinateReal(k),
-            CoordinateImag(m),
-            quartic,
         ]))
         analytic = numeric = 0.0
-        for i, f in enumerate(observables):
-            for g in observables[i + 1 :]:
+        for i, f in enumerate(quadratics):
+            for g in quadratics[i + 1 :]:
                 analytic = max(analytic, abs(poisson_bracket(*wirtinger([f, g], z))))
                 numeric = max(numeric, abs(poisson_bracket(*wirtinger([f, g], z, numeric=True))))
-        assert bracket_max(observables, z) == (analytic, numeric)
+        assert bracket_max(quadratics, z) == (analytic, numeric)
 
-    def test_complex_observable_rejected(self):
+    def test_complex_observable_rejected(self, evaluations):
+        # Any callable, the complex z_0 here, is refused before a jet or a stack row is built.
         z = ComplexPoint(np.ones(3) / np.sqrt(3.0))
-        with pytest.raises(ComplexResidue):
-            bracket_max([QuadraticHamiltonian(np.ones(3)), lambda w: w[0]], z)
+        called = []
+        with pytest.raises(InvalidParameter, match="got function"):
+            bracket_max([QuadraticHamiltonian(np.ones(3)), lambda w: called.append(w) or w[0]], z)
+        assert called == []
+        assert evaluations == {"rows": 0, "quadratic_calls": 0}
 
     @pytest.mark.parametrize("n, count", [(4, 3), (8, 9)])
     def test_each_gradient_once(self, rng, evaluations, n, count):

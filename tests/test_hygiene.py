@@ -19,9 +19,18 @@ and a field that every call passes should be required (``init=False`` and
 ``InitVar`` fields are skipped).
 ``__init__.py`` imports modules without using them, so it has its own
 rule: each public name has one import path, its home module.
+
+The package's size is quoted in one unit, counted by :func:`code_lines`
+with ``tokenize``: lines holding a token other than a comment, minus the
+module docstrings, and also minus every docstring.  Run as a script, this
+file prints both numbers for ``src/simplexgeo``::
+
+    python tests/test_hygiene.py
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -208,6 +217,71 @@ def namespace_violations(source: str) -> list[str]:
     return bad
 
 
+#: Token types that hold no code: comments, line ends and indentation.
+_LAYOUT_TOKENS = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def _docstring_lines(source: str, every: bool) -> set[int]:
+    """Lines of the module docstring, and of every class and function docstring if ``every``."""
+    tree = ast.parse(source)
+    owners = [tree]
+    if every:
+        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        owners += [node for node in ast.walk(tree) if isinstance(node, kinds)]
+    lines = set()
+    for owner in owners:
+        first = owner.body[0] if owner.body else None
+        if isinstance(first, ast.Expr) and isinstance(getattr(first.value, "value", None), str):
+            lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str, every_docstring: bool = False) -> int:
+    """Lines holding a non-comment token, minus the module docstring (every docstring if asked)."""
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _LAYOUT_TOKENS:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - _docstring_lines(source, every_docstring))
+
+
+def package_code_lines() -> tuple[int, int]:
+    """Code lines of the package: (module docstrings excluded, every docstring excluded)."""
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    return tuple(sum(code_lines(s, every) for s in sources) for every in (False, True))
+
+
+def test_code_line_counter_on_a_small_source():
+    source = '''"""Module
+docstring."""
+# a comment
+
+def f(x):
+    """Function docstring."""
+    y = (x +  # trailing comment
+         1)
+    return """not a
+docstring"""
+
+class C:
+    """Class
+    docstring."""
+    z = f"{1}"
+'''
+    # def, its docstring, the two lines of y, the two of the returned string, class,
+    # its two docstring lines and z
+    assert code_lines(source) == 10
+    assert code_lines(source, every_docstring=True) == 7
+    assert code_lines("") == 0
+
+
 def test_checker_flags_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(source) == ["os"]
@@ -298,3 +372,9 @@ def test_every_dataclass_default_is_used_by_a_caller_besides_unit_tests():
 
 def test_package_namespace_binds_only_modules():
     assert namespace_violations((PACKAGE / "__init__.py").read_text(encoding="utf-8")) == []
+
+
+if __name__ == "__main__":
+    module_docstrings, every_docstring = package_code_lines()
+    print(f"{module_docstrings:,} code lines in src/simplexgeo, module docstrings excluded")
+    print(f"{every_docstring:,} code lines in src/simplexgeo, every docstring excluded")

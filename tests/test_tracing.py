@@ -87,9 +87,10 @@ def test_workload_counts_match_the_code(tmp_path):
 
 
 def test_each_derivative_pass_is_one_wirtinger_span(tmp_path, monkeypatch):
-    # bracket_max differentiates all its observables once per path, the Gram block all
-    # modes at once and a canonical pair both coordinates at once, whatever N is; and
-    # every row of the finite-difference stack is evaluated directly under that span.
+    # bracket_max differentiates all its quadratics once per path and the Gram block all
+    # modes at once, whatever N is; the canonical pair reads coordinate_jets, not
+    # wirtinger; and every row of the finite-difference stack is evaluated directly
+    # under that span.
     workloads = _load("workloads")
     tracing = _load("tracing")
     want = {
@@ -97,17 +98,17 @@ def test_each_derivative_pass_is_one_wirtinger_span(tmp_path, monkeypatch):
         "geodesic": 0,
         "lp": 0,
         "isometry": 0,
-        "bracket": 1 + 2,
+        "bracket": 2,
         "integrability": 2 * workloads.CLI_INTEGRABILITY_TRIALS + 1,
-        "check-all": 2 * workloads.CHECK_ALL_INTEGRABILITY_TRIALS + 1 + 1,
+        "check-all": 2 * workloads.CHECK_ALL_INTEGRABILITY_TRIALS + 1,
     }
     tracer = tracing.Tracer()
     row_values = simplexgeo.hamiltonian._row_values
     under = []
 
-    def recorded(f, rows, abs2):
+    def recorded(H, abs2):
         under.append(tracer.spans[tracer._stack[-1]][0] if tracer._stack else None)
-        return row_values(f, rows, abs2)
+        return row_values(H, abs2)
 
     monkeypatch.setattr(simplexgeo.hamiltonian, "_row_values", recorded)
     cmds = []
