@@ -117,10 +117,20 @@ def objective_value(obj: LinearObjective, p: SimplexPoint) -> float:
 
 def gradient_field(obj: LinearObjective, x: np.ndarray) -> np.ndarray:
     """Replicator-form ascent field W_n = x_n (c_n - <c, x>) at coordinates x, projected
-    by :func:`project_zero_sum` (so not validated).  Vanishes exactly when c is constant."""
-    if obj.dim != x.size:
-        raise DimensionMismatch(f"objective dim {obj.dim}, point dim {x.size}")
-    return project_zero_sum(x * obj.c - float(np.dot(obj.c, x)) * x)
+    by :func:`project_zero_sum`.  Vanishes exactly when c is constant.
+
+    The returned field passes :class:`TangentVector`'s rule.  A field kept as computed
+    passes it already, so only a projected one is checked, and one that fails raises the
+    rule's typed error.  The rule reads the components alone, so the uniform point of
+    their length serves as the base that raises it.
+    """
+    c = obj.c
+    if c.size != x.size:
+        raise DimensionMismatch(f"objective dim {c.size}, point dim {x.size}")
+    w, projected = project_zero_sum(x * c - float(np.dot(c, x)) * x)
+    if projected and not is_zero_sum(w):
+        TangentVector(SimplexPoint(np.full(w.size, 1.0 / w.size)), w)
+    return w
 
 
 def flow_closed_form(obj: LinearObjective, p0: SimplexPoint, t: float) -> SimplexPoint:
@@ -136,8 +146,7 @@ def flow_ode_residual(obj: LinearObjective, p0: SimplexPoint, t: float) -> float
     plus = flow_closed_form(obj, p0, t + h).coords
     minus = flow_closed_form(obj, p0, t - h).coords
     fd = (plus - minus) / (2.0 * h)
-    point = flow_closed_form(obj, p0, t)
-    w = TangentVector(point, gradient_field(obj, point.coords)).comps
+    w = gradient_field(obj, flow_closed_form(obj, p0, t).coords)
     return float(np.abs(fd - w).sum())
 
 
@@ -177,24 +186,21 @@ def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -
 def integrate_rk4(obj: LinearObjective, p0: SimplexPoint, t_max: float, dt: float) -> Trajectory:
     """Fixed-step 4th-order integration of dp/dt = gradient_field(obj, p), on plain arrays.
 
-    Every stage point and every field is held to the rule of :class:`SimplexPoint` or
-    :class:`TangentVector`; one is built only to raise a failing rule's typed error.  Each
-    accepted state is renormalized to unit sum (the drift per step is recorded) and
-    positivity-checked; leaving the open simplex raises :class:`PositivityLost`.
+    Every stage point is held to the rule of :class:`SimplexPoint`, and one is built only
+    to raise a failing rule's typed error; :func:`gradient_field` holds every field to the
+    rule of :class:`TangentVector`.  Each accepted state is renormalized to unit sum (the
+    drift per step is recorded) and positivity-checked; leaving the open simplex raises
+    :class:`PositivityLost`.
     """
     times = time_grid(t_max, dt)
     tail = p0.tail_bound
-
-    def field(x: np.ndarray) -> np.ndarray:
-        k = gradient_field(obj, x)
-        if not is_zero_sum(k):
-            TangentVector(SimplexPoint(x, tail_bound=tail), k)
-        return k
+    # (0.5 * dt) * k is how Python evaluates 0.5 * dt * k, so the stages keep their bits.
+    half, sixth = 0.5 * dt, dt / 6.0
 
     def stage(x: np.ndarray) -> np.ndarray:
         if not in_simplex(x, tail):
             SimplexPoint(x, tail_bound=tail)
-        return field(x)
+        return gradient_field(obj, x)
 
     coords = p0.coords
     rows = np.empty((times.size, p0.dim))
@@ -204,19 +210,20 @@ def integrate_rk4(obj: LinearObjective, p0: SimplexPoint, t_max: float, dt: floa
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, times.size):
             try:
-                k1 = field(coords)
-                k2 = stage(coords + 0.5 * dt * k1)
-                k3 = stage(coords + 0.5 * dt * k2)
+                k1 = gradient_field(obj, coords)
+                k2 = stage(coords + half * k1)
+                k3 = stage(coords + half * k2)
                 k4 = stage(coords + dt * k3)
             except NonPositiveCoordinate as exc:
                 raise PositivityLost("an RK4 stage left the open simplex; shrink dt") from exc
-            coords = coords + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s = float(coords.sum())
+            coords = coords + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            s = float(np.add.reduce(coords, axis=None))
             drifts[i] = abs(1.0 - s)
             coords = coords / s
             # Same-signed entries over their sum: a positive row is finite, sums to 1 within
             # a few N eps and so passes the SimplexPoint rule; it needs no further check.
-            if not (coords > 0.0).all():
+            # A NaN minimum fails the test too.
+            if not np.minimum.reduce(coords, axis=None) > 0.0:
                 raise PositivityLost("an RK4 step left the open simplex; shrink dt")
             rows[i] = coords
     return Trajectory(times, rows, obj, drifts)

@@ -102,6 +102,10 @@ def _check_dim(H: QuadraticHamiltonian, n: int) -> None:
 def coordinate_hamiltonian(c, n: int) -> QuadraticHamiltonian:
     """The single-mode integral H_n: weight c_n on coordinate n, zero elsewhere."""
     c = np.asarray(c, dtype=float)
+    if n < 0:
+        raise InvalidParameter(f"mode index must be >= 0, got {n}")
+    if n >= c.size:
+        raise DimensionMismatch(f"mode index {n}, coefficient dim {c.size}")
     w = np.zeros(c.size)
     w[n] = c[n]
     return QuadraticHamiltonian(w)

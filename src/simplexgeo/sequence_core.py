@@ -47,7 +47,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NonFiniteInput(f"{what} contains NaN or infinity")
 
 
@@ -61,17 +61,19 @@ def in_simplex(a: np.ndarray, tail_bound: float) -> bool:
     """Whether the float array ``a`` passes :class:`SimplexPoint`'s rule with ``tail_bound``."""
     if a.ndim != 1 or a.size < 2:
         return False
-    s, tol = float(a.sum()), membership_tol(a.size)
+    s, tol = float(np.add.reduce(a, axis=None)), membership_tol(a.size)
     # A finite sum has finite terms, so with a positive minimum it settles both checks.
-    return (math.isfinite(s) and a.min() > 0.0 and 0.0 <= tail_bound < math.inf
+    return (math.isfinite(s) and np.minimum.reduce(a, axis=None) > 0.0
+            and 0.0 <= tail_bound < math.inf
             and (abs(s - 1.0) <= tol if tail_bound == 0.0 else 1.0 - tail_bound - tol <= s <= 1.0 + tol))
 
 
 def is_zero_sum(a: np.ndarray) -> bool:
     """Whether the 1-D float array ``a`` passes :class:`TangentVector`'s rule on its components."""
-    s = a.sum()
+    s = np.add.reduce(a, axis=None)
     # A finite sum has finite terms; a NaN sum of finite terms fails no tolerance.
-    return (math.isfinite(s) or np.isfinite(a).all()) and not abs(s) > membership_tol(a.size)
+    return ((math.isfinite(s) or np.logical_and.reduce(np.isfinite(a), axis=None))
+            and not abs(s) > membership_tol(a.size))
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +343,25 @@ def make_tangent(base: SimplexPoint, raw) -> TangentVector:
     # Raw vectors come from outside (the CLI's --v0), so finiteness is checked
     # before the sum: a sum over both infinities would raise numpy's RuntimeWarning.
     _require_finite(a, "raw vector")
-    return TangentVector(base, project_zero_sum(a))
+    return TangentVector(base, project_zero_sum(a)[0])
 
 
-def project_zero_sum(a: np.ndarray) -> np.ndarray:
-    """``a`` itself when its sum is within the membership tolerance of 0, which makes
-    :func:`make_tangent` idempotent bit for bit, else its projection by :func:`zero_sum_rows`
-    (the mean subtracted, again while cancellation leaves the sum above tolerance).  Not validated."""
-    s = a.sum()
+def project_zero_sum(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``(a, False)`` when the sum of ``a`` is within the membership tolerance of 0, else
+    ``(projection, True)``: a new array, ``a`` projected by :func:`zero_sum_rows` (the mean
+    subtracted, again while cancellation leaves the sum above tolerance).
+
+    Only a projection can fail :func:`is_zero_sum`: a kept ``a`` passes it, because the
+    rule reads the same sum (a sum that is not finite has been checked for finite terms
+    here).  Keeping ``a`` bit for bit makes :func:`make_tangent` idempotent.  Not validated.
+    """
+    s = np.add.reduce(a, axis=None)
     if not math.isfinite(s):  # a finite sum has finite terms
         _require_finite(a, "raw vector")
     tol = membership_tol(a.size)
-    return a if not abs(s) > tol else zero_sum_rows(a.reshape(1, -1), tol).reshape(a.shape)
+    if not abs(s) > tol:
+        return a, False
+    return zero_sum_rows(a.reshape(1, -1), tol).reshape(a.shape), True
 
 
 def zero_sum_rows(raw: np.ndarray, tol: float) -> np.ndarray:
@@ -412,12 +421,12 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
     _require_finite(s, "log-weight vector")
     # A span beyond the float range centres to -inf, whose exp is 0 and is flushed below.
     with np.errstate(over="ignore"):
-        w = np.exp(s - s.max())
-    x = w / w.sum()
+        w = np.exp(s - np.maximum.reduce(s, axis=None))
+    x = w / np.add.reduce(w, axis=None)
     x = np.maximum(x, TINY)
     order = None
     for _ in range(6):
-        d = 1.0 - float(x.sum())
+        d = 1.0 - float(np.add.reduce(x, axis=None))
         if d == 0.0:
             return x
         if order is None:  # the order of x before any bump, sorted only when the sum misses 1.0
@@ -428,7 +437,7 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
             bumped = old + d
             if bumped > 0.0 and bumped != old:
                 x[j] = bumped
-                residue = 1.0 - float(x.sum())
+                residue = 1.0 - float(np.add.reduce(x, axis=None))
                 if residue == 0.0:
                     return x
                 if abs(residue) < abs(d):

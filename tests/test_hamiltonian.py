@@ -151,6 +151,17 @@ class TestWirtinger:
         with pytest.raises(InvalidParameter, match="coordinate index must be >= 0"):
             coordinate_jets(random_complex_point(rng, 3), k)
 
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_mode_past_the_coefficients_rejected(self, n):
+        with pytest.raises(DimensionMismatch, match=f"mode index {n}, coefficient dim 3"):
+            coordinate_hamiltonian([1.0, 2.0, 3.0], n)
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_mode_rejected(self, n):
+        # A negative index would otherwise pick a mode from the end of c.
+        with pytest.raises(InvalidParameter, match="mode index must be >= 0"):
+            coordinate_hamiltonian([1.0, 2.0, 3.0], n)
+
     def test_numeric_matches_analytic(self, rng):
         for _ in range(10):
             c = rng.standard_normal(6)

@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from simplexgeo.flows import _vertex_gaps
 from simplexgeo.hamiltonian import (
     ComplexPoint,
     QuadraticHamiltonian,
@@ -25,7 +26,7 @@ from simplexgeo.hamiltonian import (
     wirtinger,
 )
 from simplexgeo.metrics import fr_distance
-from simplexgeo.sequence_core import SimplexPoint, lq_norm
+from simplexgeo.sequence_core import SimplexPoint, lq_norm, softmax_rows
 from simplexgeo.transforms import forward
 
 DIGITS = 50
@@ -197,3 +198,29 @@ def test_forward_against_exact(n, q, seed, decades):
             exact = Decimal(float(pn)) ** (1 / Decimal(q))
         condition = 1.0 + math.log(1.0 / pn) / q
         assert_within(got, exact, exact, FORWARD_ULPS * condition)
+
+
+# ---------------------------------------------------------------------------
+# LP vertex distances
+# ---------------------------------------------------------------------------
+
+
+#: The l1 distance |x_0 - 1| + sum_{n>=1} |x_n| to the vertex e_0: the one
+#: rounded subtraction x_0 - 1 (half an eps of its magnitude, exact for
+#: x_0 >= 1/2) and the N-term sum of nonnegative terms ((N - 1)/2 eps of
+#: the exact sum) give N/2 <= N eps of the exact distance.
+VERTEX_GAP_ULPS = 1
+
+
+@given(n=st.integers(2, 64), t_max=st.floats(0.0, 80.0), **draws)
+def test_vertex_gaps_against_exact(n, t_max, seed, decades):
+    # Rows of the LP flow toward e_0 (the curves _fit_rate reads), from the start
+    # point down to distances near the flush floor, as a block and one row alone.
+    rng = np.random.default_rng(seed)
+    c = np.sort(rng.uniform(-1.0, 1.0, n))[::-1]
+    rows = softmax_rows(simplex_point(rng, n, decades), c, np.linspace(0.0, t_max, 5))
+    for row, got in zip(rows, _vertex_gaps(rows)):
+        with decimal.localcontext(EXACT):
+            exact = abs(Decimal(float(row[0])) - 1) + sum(Decimal(float(x)) for x in row[1:])
+        assert_within(got, exact, exact, VERTEX_GAP_ULPS * n)
+        assert_within(_vertex_gaps(row), exact, exact, VERTEX_GAP_ULPS * n)

@@ -10,6 +10,7 @@ the membership predicates against the constructors that use them.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from simplexgeo.sequence_core import (
     is_zero_sum,
     make_simplex_point,
     make_tangent,
+    project_zero_sum,
 )
 
 BIG = 1.7976931348623157e308
@@ -139,11 +141,25 @@ def uniform(n):
 @example(problem=(LinearObjective(np.array([1e308, -1e308, 0.0])), uniform(3), 1.0, 0.5))
 @example(problem=(LinearObjective(np.array([50.0, 0.0])), uniform(2), 5.0, 1.0))
 @example(problem=(LinearObjective(np.ones(8)), uniform(8), 2.0, 1e-3))
+# k1 passes the rule, but a later field still fails it after projection and must raise.
+@example(problem=(LinearObjective(np.array([2.1246299228330237e307, 0.8541273971239858, 0.6541594752677903])),
+                  SimplexPoint(np.array([0.29661681201655127, 0.2826160537906541, 0.42076713419279477])),
+                  2 * 4.094276386778016e-308, 4.094276386778016e-308))
 def test_array_rk4_matches_the_point_per_stage_loop(problem):
     obj, p0, t_max, dt = problem
     expect = outcome(lambda: reference_rk4(obj, p0, t_max, dt))
     got = outcome(lambda: integrate_rk4(obj, p0, t_max, dt))
     assert same_trajectory(got, expect), (got[:3], expect[:3])
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_array_rk4_matches_the_point_per_stage_loop_on_the_check_flows_problem(n):
+    # The oracle run of checks.check_flows at full length (2000 steps), which the
+    # hypothesis test's 30 steps do not reach, on every platform.
+    obj = LinearObjective(np.array([1.0, 0.0] + [-(k + 1.0) for k in range(n - 2)]))
+    expect = outcome(lambda: reference_rk4(obj, uniform(n), 2.0, 1e-3))
+    got = outcome(lambda: integrate_rk4(obj, uniform(n), 2.0, 1e-3))
+    assert expect[0] == "ok" and same_trajectory(got, expect)
 
 
 @st.composite
@@ -165,6 +181,20 @@ def test_gradient_field_attached_is_the_raw_field_through_make_tangent(inputs):
         assert bits(make_tangent(p, gradient_field(obj, p.coords)).comps) == bits(expect[1])
 
 
+@settings(max_examples=30)
+@given(inputs=field_inputs())
+def test_gradient_field_raises_a_failing_field_s_error_itself(inputs):
+    # Only a projected field can fail the rule, and gradient_field checks those, so a
+    # field it returns needs no second sum.
+    obj, p = inputs
+    expect = outcome(lambda: reference_field(obj, p).comps)
+    got = outcome(lambda: gradient_field(obj, p.coords))
+    if expect[0] == "raise":
+        assert got == expect
+    else:
+        assert got[0] == "ok" and bits(got[1]) == bits(expect[1])
+
+
 VECTORS = st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.floats(-2.0, 2.0)
                    | st.sampled_from([0.0, 1e-300, 1e308, -1e308, 0.5]), min_size=0, max_size=20)
 
@@ -182,3 +212,20 @@ def test_predicates_are_the_constructors_rules(values, tail):
         if a.ndim == 1 and a.size >= 2:
             tangent = outcome(lambda: TangentVector(uniform(a.size), a))
             assert is_zero_sum(a) == (tangent[0] == "ok")
+
+
+@given(values=VECTORS)
+@example(values=[1e308, 1e308, -1e308, -1e308])  # a NaN sum of finite terms
+@example(values=[1e308, 1e308])  # an infinite sum of finite terms
+def test_project_zero_sum_keeps_only_vectors_that_pass_the_rule(values):
+    a = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(lambda: project_zero_sum(a))
+        if got[0] == "raise":
+            assert not np.isfinite(a).all()
+            return
+        w, projected = got[1]
+        if projected:
+            assert w is not a and w.shape == a.shape
+        else:
+            assert w is a and is_zero_sum(a)

@@ -167,6 +167,14 @@ def test_full_size_softmax_kernels_match_recorded_digests(tmp_path):
     _assert_digests([c for c in cmds if c.argv[0] in ("geodesic", "lp")], runs["full/trajectory/3"])
 
 
+def test_full_size_flow_commands_match_recorded_digests(tmp_path):
+    # The smoke commands run at N=8; the closed-form flow (N=256) and the RK4 oracle
+    # (N=64), 1001 rows each, run here at full size.
+    runs = _recorded_digests()
+    cmds = _load("workloads").build("trajectory", 3, str(tmp_path))
+    _assert_digests([c for c in cmds if c.argv[0] == "flow"], runs["full/trajectory/3"])
+
+
 def test_full_size_check_all_matches_recorded_digests(tmp_path):
     # The smoke commands run isometry at N=8 only; check-all at N=8 and 16 and
     # isometry at N=256 run here at full size.
