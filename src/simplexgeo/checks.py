@@ -57,7 +57,8 @@ def check_sequence_core(dim: int, seed: int) -> list[CheckResult]:
             - sequence_core.lq_norm(a, q)
             - sequence_core.lq_norm(b, q),
         )
-    spec = SequenceSpec("geometric", dim, ratio=0.5)
+    # 0.5 up to dim 250; above, the ratio keeps r^(4 dim) at 2^-1000, clear of underflow.
+    spec = SequenceSpec("geometric", dim, ratio=max(0.5, 2.0 ** (-1000.0 / (4 * dim))))
     pts = sequence_core.refine(spec, [dim, 2 * dim, 4 * dim])
     diffs = []
     for lo, hi in zip(pts, pts[1:]):
@@ -155,7 +156,6 @@ def _geodesic_length(p, r) -> float:
     would give.
     """
     n, h = _LENGTH_NODES, _LENGTH_STEP
-    tol = sequence_core.membership_tol(p.dim)
     ts = (np.arange(n) + 0.5) / n
     run = max(1, _LENGTH_BLOCK // p.dim)
     terms = []
@@ -164,7 +164,7 @@ def _geodesic_length(p, r) -> float:
         vel = (metrics.fr_geodesic_block(p, r, t + h) - metrics.fr_geodesic_block(p, r, t - h)) / (
             2.0 * h
         )
-        vel = sequence_core.zero_sum_rows(vel, tol)
+        vel = sequence_core.zero_sum_rows(vel)
         terms.append(np.sqrt(0.25 * (vel * vel / mid).sum(axis=1)) / n)
     # cumsum adds strictly left to right, as the loop's running total did.
     return float(np.cumsum(np.concatenate(terms))[-1])

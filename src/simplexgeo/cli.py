@@ -127,6 +127,8 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.out_path is not None:
             # Rejected before any compute, so a bad --out neither wastes a run nor leaves a temp file.
+            if not self.out_path:
+                raise ConfigError("out_path must not be empty")
             if os.path.isdir(self.out_path):
                 raise ConfigError(f"out_path {self.out_path!r} is a directory")
             parent = os.path.dirname(os.path.abspath(self.out_path))

@@ -84,13 +84,13 @@ def directional_derivative(W: VectorField, p: SimplexPoint, v: TangentVector) ->
     Returns a raw component vector, not necessarily zero-sum.
     """
     h = FIELD_STEP
-    while _shift(p, v, h) is None or _shift(p, v, -h) is None:
+    while (plus := _shift(p, v, h)) is None or (minus := _shift(p, v, -h)) is None:
         h *= 0.5
         if h < _STEP_FLOOR:
             raise StepUnderflow(
                 f"no step above {_STEP_FLOOR} keeps {p.coords.min():.3g}-interior point positive"
             )
-    return (W(_shift(p, v, h)).comps - W(_shift(p, v, -h)).comps) / (2.0 * h)
+    return (W(plus).comps - W(minus).comps) / (2.0 * h)
 
 
 def alpha_connection(V: VectorField, W: VectorField, p: SimplexPoint, q: float) -> TangentVector:
@@ -101,11 +101,11 @@ def alpha_connection(V: VectorField, W: VectorField, p: SimplexPoint, q: float) 
     the simplex, so the finite-difference residue is projected away.
     """
     check_exponent(q)
-    vp = V(p).comps
+    v = V(p)
     wp = W(p).comps
-    d = directional_derivative(W, p, V(p))
+    d = directional_derivative(W, p, v)
     inv_qstar = (q - 1.0) / q
-    weighted = vp * wp / p.coords
+    weighted = v.comps * wp / p.coords
     raw = d - inv_qstar * (weighted - float(weighted.sum()) * p.coords)
     if abs(float(raw.sum())) > 1e-10 * max(1.0, float(np.abs(raw).max())):
         raise CurveDomain(f"connection output drifted off the tangent plane: sum {raw.sum()}")
@@ -115,16 +115,6 @@ def alpha_connection(V: VectorField, W: VectorField, p: SimplexPoint, q: float) 
 # ---------------------------------------------------------------------------
 # exponential connection along curves
 # ---------------------------------------------------------------------------
-
-
-def _eval_curve(curve: Curve, s: float) -> SimplexPoint:
-    try:
-        pt = curve(s)
-    except Exception as exc:  # noqa: BLE001 - any failure means the window is bad
-        raise CurveDomain(f"curve undefined at t = {s}") from exc
-    if not isinstance(pt, SimplexPoint):
-        raise CurveDomain(f"curve returned {type(pt).__name__} at t = {s}")
-    return pt
 
 
 def _e_covariant(p_t: np.ndarray, ratio_plus: np.ndarray, ratio_minus: np.ndarray) -> np.ndarray:
@@ -150,10 +140,10 @@ def e_covariant_along_curve(
     finite, e.g. when a ratio overflows against a flushed coordinate.
     """
     h = CURVE_STEP
-    p_t = _eval_curve(curve, t).coords
+    p_t = curve(t).coords
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio_plus = vectors(t + h) / _eval_curve(curve, t + h).coords
-        ratio_minus = vectors(t - h) / _eval_curve(curve, t - h).coords
+        ratio_plus = vectors(t + h) / curve(t + h).coords
+        ratio_minus = vectors(t - h) / curve(t - h).coords
         out = _e_covariant(p_t, ratio_plus, ratio_minus)
     if not np.all(np.isfinite(out)):
         raise CurveDomain(f"e-connection derivative is not finite at t = {t}")
@@ -170,7 +160,7 @@ def e_connection_residual(curve: Curve, t: float) -> np.ndarray:
     h = CURVE_STEP
 
     def velocity(s: float) -> np.ndarray:
-        return (_eval_curve(curve, s + h).coords - _eval_curve(curve, s - h).coords) / (2.0 * h)
+        return (curve(s + h).coords - curve(s - h).coords) / (2.0 * h)
 
     return e_covariant_along_curve(curve, velocity, t)
 

@@ -33,8 +33,7 @@ from .sequence_core import (
     TangentVector,
     _read_only,
     _require_finite,
-    in_simplex,
-    is_zero_sum,
+    check_simplex,
     project_zero_sum,
     softmax_curve,
     softmax_rows,
@@ -117,20 +116,13 @@ def objective_value(obj: LinearObjective, p: SimplexPoint) -> float:
 
 def gradient_field(obj: LinearObjective, x: np.ndarray) -> np.ndarray:
     """Replicator-form ascent field W_n = x_n (c_n - <c, x>) at coordinates x, projected
-    by :func:`project_zero_sum`.  Vanishes exactly when c is constant.
-
-    The returned field passes :class:`TangentVector`'s rule.  A field kept as computed
-    passes it already, so only a projected one is checked, and one that fails raises the
-    rule's typed error.  The rule reads the components alone, so the uniform point of
-    their length serves as the base that raises it.
+    by :func:`project_zero_sum`, which raises the typed error of :class:`TangentVector`'s
+    rule for a field that fails it.  Vanishes exactly when c is constant.
     """
     c = obj.c
     if c.size != x.size:
         raise DimensionMismatch(f"objective dim {c.size}, point dim {x.size}")
-    w, projected = project_zero_sum(x * c - float(np.dot(c, x)) * x)
-    if projected and not is_zero_sum(w):
-        TangentVector(SimplexPoint(np.full(w.size, 1.0 / w.size)), w)
-    return w
+    return project_zero_sum(x * c - float(np.dot(c, x)) * x)
 
 
 def flow_closed_form(obj: LinearObjective, p0: SimplexPoint, t: float) -> SimplexPoint:
@@ -186,11 +178,10 @@ def flow_trajectory(obj: LinearObjective, p0: SimplexPoint, times: np.ndarray) -
 def integrate_rk4(obj: LinearObjective, p0: SimplexPoint, t_max: float, dt: float) -> Trajectory:
     """Fixed-step 4th-order integration of dp/dt = gradient_field(obj, p), on plain arrays.
 
-    Every stage point is held to the rule of :class:`SimplexPoint`, and one is built only
-    to raise a failing rule's typed error; :func:`gradient_field` holds every field to the
-    rule of :class:`TangentVector`.  Each accepted state is renormalized to unit sum (the
-    drift per step is recorded) and positivity-checked; leaving the open simplex raises
-    :class:`PositivityLost`.
+    :func:`check_simplex` holds every stage point to the rule of :class:`SimplexPoint`, and
+    :func:`gradient_field` every field to the rule of :class:`TangentVector`.  Each accepted
+    state is renormalized to unit sum (the drift per step is recorded) and positivity-checked;
+    leaving the open simplex raises :class:`PositivityLost`.
     """
     times = time_grid(t_max, dt)
     tail = p0.tail_bound
@@ -198,8 +189,7 @@ def integrate_rk4(obj: LinearObjective, p0: SimplexPoint, t_max: float, dt: floa
     half, sixth = 0.5 * dt, dt / 6.0
 
     def stage(x: np.ndarray) -> np.ndarray:
-        if not in_simplex(x, tail):
-            SimplexPoint(x, tail_bound=tail)
+        check_simplex(x, tail)
         return gradient_field(obj, x)
 
     coords = p0.coords

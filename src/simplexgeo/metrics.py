@@ -15,6 +15,7 @@ from .sequence_core import (
     SimplexPoint,
     TangentVector,
     check_exponent,
+    check_simplex,
     lq_norm,
     membership_tol,
     same_base,
@@ -69,8 +70,9 @@ def fr_geodesic_block(p: SimplexPoint, r: SimplexPoint, ts: np.ndarray) -> np.nd
     """Coordinates of the geodesic from p to r at each parameter of the 1-D ``ts``, as (T, N) rows.
 
     Every row is checked by :class:`SimplexPoint`'s rule: the block's
-    minimum and each row's sum settle the common case; otherwise the rows
-    are built as points in order, so the first bad row raises its own error.
+    minimum and each row's sum settle the common case; otherwise
+    :func:`check_simplex` replays the rows in order, so the first bad row
+    raises its own error.
     """
     theta = fr_distance(p, r)
     if theta == 0.0:
@@ -84,5 +86,5 @@ def fr_geodesic_block(p: SimplexPoint, r: SimplexPoint, ts: np.ndarray) -> np.nd
     sums = rows.sum(axis=1)
     if not (rows.min(initial=np.inf) > 0.0 and (np.abs(sums - 1.0) <= membership_tol(p.dim)).all()):
         for row in rows:
-            SimplexPoint(row)
+            check_simplex(row, 0.0)
     return rows

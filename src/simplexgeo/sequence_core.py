@@ -57,23 +57,36 @@ def check_exponent(q: float | None) -> None:
         raise InvalidExponent(f"q must lie in (1, inf), got {q}")
 
 
-def in_simplex(a: np.ndarray, tail_bound: float) -> bool:
-    """Whether the float array ``a`` passes :class:`SimplexPoint`'s rule with ``tail_bound``."""
-    if a.ndim != 1 or a.size < 2:
-        return False
+def check_simplex(a: np.ndarray, tail_bound: float) -> None:
+    """Raise the typed error of the first part of :class:`SimplexPoint`'s rule that the
+    float array ``a`` fails with ``tail_bound``: shape, finiteness, positivity, tail bound, sum."""
+    if a.ndim != 1:
+        raise DimensionTooSmall("coords must be a one-dimensional vector")
+    if a.size < 2:
+        raise DimensionTooSmall(f"need at least 2 coordinates, got {a.size}")
     s, tol = float(np.add.reduce(a, axis=None)), membership_tol(a.size)
-    # A finite sum has finite terms, so with a positive minimum it settles both checks.
-    return (math.isfinite(s) and np.minimum.reduce(a, axis=None) > 0.0
-            and 0.0 <= tail_bound < math.inf
-            and (abs(s - 1.0) <= tol if tail_bound == 0.0 else 1.0 - tail_bound - tol <= s <= 1.0 + tol))
+    # A finite sum has finite terms, so with a positive minimum it settles the next two parts.
+    if not (math.isfinite(s) and np.minimum.reduce(a, axis=None) > 0.0):
+        _require_finite(a, "coordinate vector")
+        if not np.minimum.reduce(a, axis=None) > 0.0:
+            raise NonPositiveCoordinate("simplex coordinates must be strictly positive")
+    if not 0.0 <= tail_bound < math.inf:
+        raise NotNormalizable(f"tail bound must be finite and >= 0, got {tail_bound}")
+    if tail_bound == 0.0:
+        if not abs(s - 1.0) <= tol:
+            raise NotNormalizable(f"coordinates sum to {s}, expected 1")
+    elif not 1.0 - tail_bound - tol <= s <= 1.0 + tol:
+        raise NotNormalizable(f"coordinates sum to {s}, outside [1 - {tail_bound}, 1]")
 
 
-def is_zero_sum(a: np.ndarray) -> bool:
-    """Whether the 1-D float array ``a`` passes :class:`TangentVector`'s rule on its components."""
+def check_zero_sum(a: np.ndarray) -> None:
+    """Raise the typed error of :class:`TangentVector`'s rule on the components ``a``, if it fails."""
     s = np.add.reduce(a, axis=None)
     # A finite sum has finite terms; a NaN sum of finite terms fails no tolerance.
-    return ((math.isfinite(s) or np.logical_and.reduce(np.isfinite(a), axis=None))
-            and not abs(s) > membership_tol(a.size))
+    if not math.isfinite(s):
+        _require_finite(a, "component vector")
+    if abs(s) > membership_tol(a.size):
+        raise NotNormalizable(f"tangent components sum to {s}, expected 0")
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +109,7 @@ class SimplexPoint:
 
     def __post_init__(self):
         a = np.asarray(self.coords, dtype=float)
-        if not in_simplex(a, self.tail_bound):
-            # The rule failed; each check below names one of its parts, in order.
-            if a.ndim != 1:
-                raise DimensionTooSmall("coords must be a one-dimensional vector")
-            if a.size < 2:
-                raise DimensionTooSmall(f"need at least 2 coordinates, got {a.size}")
-            _require_finite(a, "coordinate vector")
-            if not (a > 0.0).all():
-                raise NonPositiveCoordinate("simplex coordinates must be strictly positive")
-            if not (self.tail_bound >= 0.0 and math.isfinite(self.tail_bound)):
-                raise NotNormalizable(f"tail bound must be finite and >= 0, got {self.tail_bound}")
-            s = float(a.sum())
-            if self.tail_bound == 0.0:
-                raise NotNormalizable(f"coordinates sum to {s}, expected 1")
-            raise NotNormalizable(f"coordinates sum to {s}, outside [1 - {self.tail_bound}, 1]")
+        check_simplex(a, self.tail_bound)
         object.__setattr__(self, "coords", _read_only(a))
 
     @property
@@ -134,9 +133,7 @@ class TangentVector:
             raise DimensionTooSmall("components must be a one-dimensional vector")
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
-        if not is_zero_sum(a):
-            _require_finite(a, "component vector")
-            raise NotNormalizable(f"tangent components sum to {a.sum()}, expected 0")
+        check_zero_sum(a)
         object.__setattr__(self, "comps", _read_only(a))
 
     @property
@@ -343,35 +340,40 @@ def make_tangent(base: SimplexPoint, raw) -> TangentVector:
     # Raw vectors come from outside (the CLI's --v0), so finiteness is checked
     # before the sum: a sum over both infinities would raise numpy's RuntimeWarning.
     _require_finite(a, "raw vector")
-    return TangentVector(base, project_zero_sum(a)[0])
+    if a.ndim != 1:
+        raise DimensionTooSmall("components must be a one-dimensional vector")
+    return TangentVector(base, project_zero_sum(a))
 
 
-def project_zero_sum(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``(a, False)`` when the sum of ``a`` is within the membership tolerance of 0, else
-    ``(projection, True)``: a new array, ``a`` projected by :func:`zero_sum_rows` (the mean
-    subtracted, again while cancellation leaves the sum above tolerance).
+def project_zero_sum(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when its sum is within the membership tolerance of 0, else a new
+    array: ``a`` projected by :func:`zero_sum_rows` (the mean subtracted, again while
+    cancellation leaves the sum above tolerance) and held to :func:`check_zero_sum`.
 
-    Only a projection can fail :func:`is_zero_sum`: a kept ``a`` passes it, because the
-    rule reads the same sum (a sum that is not finite has been checked for finite terms
-    here).  Keeping ``a`` bit for bit makes :func:`make_tangent` idempotent.  Not validated.
+    Only a projection can fail the rule: a kept ``a`` passes it, because the rule reads
+    the same sum (a sum that is not finite has been checked for finite terms here).
+    Keeping ``a`` bit for bit makes :func:`make_tangent` idempotent.
     """
     s = np.add.reduce(a, axis=None)
     if not math.isfinite(s):  # a finite sum has finite terms
         _require_finite(a, "raw vector")
-    tol = membership_tol(a.size)
-    if not abs(s) > tol:
-        return a, False
-    return zero_sum_rows(a.reshape(1, -1), tol).reshape(a.shape), True
+    if not abs(s) > membership_tol(a.size):
+        return a
+    w = zero_sum_rows(a[None])[0]
+    check_zero_sum(w)
+    return w
 
 
-def zero_sum_rows(raw: np.ndarray, tol: float) -> np.ndarray:
+def zero_sum_rows(raw: np.ndarray) -> np.ndarray:
     """Project each row of a (T, N) block as :func:`make_tangent` projects a vector.
 
-    A row whose sum is within ``tol`` is kept bit for bit; any other has
-    its mean subtracted, again while its sum stays above ``tol``, at most
-    five times.  Returns a new array; nothing is validated.
+    A row whose sum is within the membership tolerance of N is kept bit for
+    bit; any other has its mean subtracted, again while its sum stays above
+    that tolerance, at most five times.  Returns a new array; nothing is
+    validated.
     """
     rows = np.array(raw, dtype=float)
+    tol = membership_tol(rows.shape[1])
     s = rows.sum(axis=1)
     todo = np.abs(s) > tol
     for _ in range(5):

@@ -1,5 +1,7 @@
 from simplexgeo import cli, hamiltonian
-from simplexgeo.checks import check_all, check_hamiltonian
+import pytest
+
+from simplexgeo.checks import check_all, check_hamiltonian, check_sequence_core
 
 # The bounds check-all reports, in order.  Written out here so a loosened
 # bound in the code fails this test instead of passing unnoticed.
@@ -32,6 +34,14 @@ CHECK_ALL_BOUNDS = [
 def test_check_all_bounds_pinned():
     results = check_all(4, 0)
     assert [(r.name, r.threshold) for r in results] == CHECK_ALL_BOUNDS
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("dim", [269, 1000])
+def test_sequence_core_checks_pass_where_ratio_one_half_underflows(dim):
+    # At 4 dim >= 1076, 0.5^n underflows to 0 and the refined geometric point was refused.
+    results = check_sequence_core(dim, 0)
+    assert [r.name for r in results] == [name for name, _ in CHECK_ALL_BOUNDS[:3]]
     assert all(r.passed for r in results)
 
 

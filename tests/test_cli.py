@@ -399,7 +399,7 @@ class TestNearTheFloatRange:
              "an RK4 stage left the open simplex; shrink dt\n"),
             (["flow", "--dim", "3", "--c", "explicit:1e308,-1e308,0", "--p0", "uniform",
               "--t-max", "1", "--dt", "0.5", "--method", "rk4"],
-             "flow dim=3 error in simplexgeo.sequence_core.__post_init__: "
+             "flow dim=3 error in simplexgeo.sequence_core.check_zero_sum: "
              "tangent components sum to -8.216030716619784e+288, expected 0\n"),
         ],
         ids=["flow-exponent-overflows", "lp-gap-overflows", "integrability-phase-overflows",
@@ -613,6 +613,23 @@ class TestRejectedInputs:
         # Nothing is computed or written: no output, no temp file, no new directory.
         assert sorted(os.listdir(tmp_path)) == ["dir", "spec.json"]
         assert os.listdir(tmp_path / "dir") == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["isometry", "--dim", "4", "--out", ""],
+         FLOW + ["--t-max", "1", "--dt", "0.5", "--out", ""],
+         ["check-all", "--dim", "4", "--out", ""],
+         ["isometry", "--dim", "4", "--config", "CONFIG"]],
+        ids=["isometry", "flow", "check-all", "from-config"],
+    )
+    def test_empty_out_path_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        # An empty path used to fall back to ./<command>.<ext>, or to no file for check-all.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"out_path": ""}))
+        assert main([str(config) if a == "CONFIG" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", "config error: out_path must not be empty\n")
+        assert os.listdir(tmp_path) == ["c.json"]
 
     def test_csv_format_from_a_config_rejected(self, tmp_path, capsys):
         # The JSON-only commands used to write their JSON report into the .csv file.

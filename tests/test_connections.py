@@ -186,14 +186,11 @@ class TestEConnectionResidual:
         residual = e_connection_residual(lambda t: p, 0.0)
         np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
-    def test_curve_domain_error(self, half_half):
-        def broken(t):
-            if t > 0.1:
-                raise RuntimeError("past the edge")
-            return half_half
-
-        with pytest.raises(CurveDomain):
-            e_connection_residual(broken, 0.1)
+    def test_curve_error_propagates_unchanged(self, half_half):
+        # The residual calls the curve directly, so a curve's own typed error surfaces as is.
+        geo = EGeodesic(half_half, np.array([1.0, -1.0]))
+        with pytest.raises(NonFiniteInput, match="time inf is not finite"):
+            e_connection_residual(geo, np.inf)
 
     def test_overflowing_defect_is_typed(self, recwarn):
         # Exponents of order 1e6 flush coordinates to TINY within one step,

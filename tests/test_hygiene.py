@@ -16,7 +16,9 @@ it by keyword, by position or through ``*args`` / ``**kwargs``.  A defaulted
 field of a public ``@dataclass`` is the converse case: its default counts as
 used when some constructor call among the same callers leaves the field out,
 and a field that every call passes should be required (``init=False`` and
-``InitVar`` fields are skipped).
+``InitVar`` fields are skipped).  No package statement calls a class the
+package defines and discards the result: an object built only for the
+error its constructor raises is a check the rule's own function makes.
 ``__init__.py`` imports modules without using them, so it has its own
 rule: each public name has one import path, its home module.
 
@@ -201,6 +203,18 @@ def unused_field_defaults(sources: list[str], callers: list[str]) -> list[str]:
     )
 
 
+def discarded_constructions(sources: list[str]) -> list[str]:
+    """Statements that call a class defined in the sources and discard the result."""
+    trees = [ast.parse(source) for source in sources]
+    classes = {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    return [
+        ast.unparse(node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and _callee(node.value) in classes
+    ]
+
+
 def namespace_violations(source: str) -> list[str]:
     """Top-level statements other than the docstring, ``from . import <module>``
     and the ``__version__`` assignment."""
@@ -328,6 +342,17 @@ def test_checker_flags_a_dataclass_default_every_caller_overrides():
     assert unused_field_defaults([home], ["Point(1.0, 2.0, 0.5, 'a')\nPoint(0.0)\nBox()\n"]) == []
 
 
+def test_checker_flags_a_class_built_only_to_raise():
+    home = (
+        "class Point:\n    pass\n\n"
+        "def f(x):\n    if x:\n        Point(x)\n    p = Point(x)\n    print(Point(x))\n"
+        "    raise Point(x)\n"
+    )
+    user = "def g(x):\n    mod.Point(x)\n    return Point(x)\n"
+    assert discarded_constructions([home, user]) == ["Point(x)", "mod.Point(x)"]
+    assert discarded_constructions([user]) == []
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -368,6 +393,11 @@ def test_every_default_is_passed_by_a_caller_besides_unit_tests():
 
 def test_every_dataclass_default_is_used_by_a_caller_besides_unit_tests():
     assert unused_field_defaults(*_package_and_callers()) == []
+
+
+def test_no_class_is_built_only_to_raise():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert discarded_constructions(sources) == []
 
 
 def test_package_namespace_binds_only_modules():

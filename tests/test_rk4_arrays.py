@@ -1,12 +1,12 @@
 """The array RK4 oracle against the point-per-stage loop it replaces.
 
-``integrate_rk4`` runs its stages on plain arrays and builds a
-``SimplexPoint`` or ``TangentVector`` only to raise a failing stage's typed
-error.  ``reference_rk4`` below is the loop that built one of each per
+``integrate_rk4`` runs its stages on plain arrays and holds each stage
+point to ``check_simplex``, which raises the typed error a ``SimplexPoint``
+would.  ``reference_rk4`` below is the loop that built one of each per
 stage; the two must give the same bits for every row, drift and objective
 value, or raise the same error type with the same message.  The same holds
 for ``gradient_field`` against ``make_tangent`` on the raw field, and for
-the membership predicates against the constructors that use them.
+the membership checks against the constructors that call them.
 """
 
 import numpy as np
@@ -14,17 +14,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplexgeo.errors import NonPositiveCoordinate, PositivityLost
+from simplexgeo.errors import NonFiniteInput, NonPositiveCoordinate, PositivityLost
 from simplexgeo.flows import LinearObjective, Trajectory, gradient_field, integrate_rk4, time_grid
 from simplexgeo.sequence_core import (
     SequenceSpec,
     SimplexPoint,
     TangentVector,
-    in_simplex,
-    is_zero_sum,
+    check_simplex,
+    check_zero_sum,
     make_simplex_point,
     make_tangent,
+    membership_tol,
     project_zero_sum,
+    zero_sum_rows,
 )
 
 BIG = 1.7976931348623157e308
@@ -199,33 +201,45 @@ VECTORS = st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.floats(-2
                    | st.sampled_from([0.0, 1e-300, 1e308, -1e308, 0.5]), min_size=0, max_size=20)
 
 
+def raised(outcome_):
+    """An outcome with a check's None result and a constructor's value both read as "ok"."""
+    return outcome_ if outcome_[0] == "raise" else ("ok",)
+
+
 @given(values=VECTORS, tail=st.sampled_from([0.0, 1e-3, 0.5, 2.0, -1.0, float("inf"), float("nan")]))
 @example(values=[1e308, 1e308], tail=0.0)
 @example(values=[0.5, 0.5], tail=0.0)
 @example(values=[0.25, 0.25], tail=0.5)
 @example(values=[[0.5, 0.5]], tail=0.0)
-def test_predicates_are_the_constructors_rules(values, tail):
+@example(values=[1e308, -1e308, 0.5, 0.5], tail=0.0)  # a unit sum with a negative coordinate
+def test_checks_raise_what_the_constructors_raise(values, tail):
     a = np.array(values)
     with np.errstate(over="ignore", invalid="ignore"):  # sums near the float range
-        point = outcome(lambda: SimplexPoint(a, tail_bound=tail))
-        assert in_simplex(a, tail) == (point[0] == "ok")
+        point = raised(outcome(lambda: SimplexPoint(a, tail_bound=tail)))
+        assert raised(outcome(lambda: check_simplex(a, tail))) == point
         if a.ndim == 1 and a.size >= 2:
-            tangent = outcome(lambda: TangentVector(uniform(a.size), a))
-            assert is_zero_sum(a) == (tangent[0] == "ok")
+            tangent = raised(outcome(lambda: TangentVector(uniform(a.size), a)))
+            assert raised(outcome(lambda: check_zero_sum(a))) == tangent
 
 
 @given(values=VECTORS)
 @example(values=[1e308, 1e308, -1e308, -1e308])  # a NaN sum of finite terms
 @example(values=[1e308, 1e308])  # an infinite sum of finite terms
+@example(values=[1e300, -1e300, 1.0])  # a projection that fails the rule
+@example(values=[0.5, -0.5])  # kept
 def test_project_zero_sum_keeps_only_vectors_that_pass_the_rule(values):
     a = np.array(values)
     with np.errstate(over="ignore", invalid="ignore"):
         got = outcome(lambda: project_zero_sum(a))
-        if got[0] == "raise":
-            assert not np.isfinite(a).all()
-            return
-        w, projected = got[1]
-        if projected:
-            assert w is not a and w.shape == a.shape
+        if not np.isfinite(a).all():
+            assert got == ("raise", NonFiniteInput, "raw vector contains NaN or infinity")
+        elif not abs(np.add.reduce(a)) > membership_tol(a.size):
+            assert got[0] == "ok" and got[1] is a
+            check_zero_sum(a)
         else:
-            assert w is a and is_zero_sum(a)
+            w = zero_sum_rows(a[None])[0]
+            checked = outcome(lambda: check_zero_sum(w))
+            if checked[0] == "raise":
+                assert got == checked
+            else:
+                assert got[0] == "ok" and got[1] is not a and bits(got[1]) == bits(w)

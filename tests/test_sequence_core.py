@@ -88,6 +88,12 @@ class TestMakeTangent:
         with pytest.raises(LengthMismatch):
             make_tangent(half_half, np.array([1.0, 0.0, -1.0]))
 
+    def test_block_rejected_by_shape_before_its_projection_is_checked(self):
+        # The flattened projection fails the zero-sum rule, but the shape is the first error.
+        base = SimplexPoint(np.array([0.1, 0.2, 0.3, 0.4]))
+        with pytest.raises(DimensionTooSmall, match="one-dimensional"):
+            make_tangent(base, np.array([[1e300, -1e300], [1.0, 0.0]]))
+
     def test_idempotent_bitwise(self, rng):
         for _ in range(200):
             dim = int(rng.integers(2, 40))
