@@ -429,7 +429,7 @@ def _cmd_check_all(cfg: RunConfig, *_) -> tuple[str, bool]:
 
 #: Command name -> (body, fields the command requires).
 _COMMANDS = {
-    "flow": (_cmd_flow, ("dim", "c_spec", "p0_spec", "t_max", "dt", "method")),
+    "flow": (_cmd_flow, ("dim", "c_spec", "p0_spec", "t_max", "dt")),
     "geodesic": (_cmd_geodesic, ("dim", "p0_spec", "v0_spec", "t_max", "dt")),
     "lp": (_cmd_lp, ("dim", "c_spec", "p0_spec", "tol")),
     "isometry": (_cmd_isometry, ("dim",)),

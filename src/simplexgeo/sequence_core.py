@@ -136,10 +136,6 @@ class TangentVector:
         check_zero_sum(a)
         object.__setattr__(self, "comps", _read_only(a))
 
-    @property
-    def dim(self) -> int:
-        return self.comps.size
-
 
 def same_point(p: SimplexPoint, r: SimplexPoint) -> bool:
     """Whether p and r are one point: equal coordinates and equal tail bound."""
@@ -198,10 +194,6 @@ class SphereTangent:
         if abs(pairing) > membership_tol(a.size):
             raise NotNormalizable(f"tangency defect {pairing} at q={q}")
         object.__setattr__(self, "comps", _read_only(a))
-
-    @property
-    def dim(self) -> int:
-        return self.comps.size
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +255,11 @@ class SequenceSpec:
         return self.kind == "geometric"
 
     def tail_sum(self, n: int) -> float:
-        """Analytic upper bound on the raw template's tail from index n."""
-        if self.kind == "geometric":
-            return self.ratio**n / (1.0 - self.ratio)
-        raise NoTailModel(f"{self.kind} specs have no analytic tail")
-
-    def infinite_total(self) -> float:
-        """Sum of the full infinite raw template, when it converges."""
-        if self.kind == "geometric":
-            return 1.0 / (1.0 - self.ratio)
-        raise NoTailModel(f"{self.kind} templates are not summable")
+        """Analytic upper bound on the raw template's tail from index n; ``tail_sum(0)``
+        is the sum of the whole infinite template."""
+        if not self.has_tail_model:
+            raise NoTailModel(f"{self.kind} specs have no analytic tail")
+        return self.ratio**n / (1.0 - self.ratio)
 
     # -- JSON form (``file:`` specs) ---------------------------------------
 
@@ -307,8 +294,8 @@ def make_simplex_point(spec: SequenceSpec) -> SimplexPoint:
 
     ``simplex`` normalization rescales the truncated template to unit sum
     (tail_bound 0).  Without normalization, kinds with a summable template
-    are scaled by their infinite total, so the truncation's coordinate sum
-    is 1 minus the scaled tail, which becomes the tail_bound.
+    are scaled by their infinite total ``tail_sum(0)``, so the truncation's
+    coordinate sum is 1 minus the scaled tail, which becomes the tail_bound.
     """
     t = spec.template()
     _require_finite(t, "template")
@@ -328,7 +315,7 @@ def make_simplex_point(spec: SequenceSpec) -> SimplexPoint:
                 f"explicit coords sum to {s}; pass normalize='simplex' to rescale"
             )
         return SimplexPoint(t, tail_bound=0.0)
-    total = spec.infinite_total()
+    total = spec.tail_sum(0)
     return SimplexPoint(t / total, tail_bound=spec.tail_sum(spec.dim) / total)
 
 

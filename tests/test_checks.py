@@ -1,7 +1,7 @@
-from simplexgeo import cli, hamiltonian
+from simplexgeo import cli, flows, hamiltonian
 import pytest
 
-from simplexgeo.checks import check_all, check_hamiltonian, check_sequence_core
+from simplexgeo.checks import check_all, check_flows, check_hamiltonian, check_sequence_core
 
 # The bounds check-all reports, in order.  Written out here so a loosened
 # bound in the code fails this test instead of passing unnoticed.
@@ -43,6 +43,29 @@ def test_sequence_core_checks_pass_where_ratio_one_half_underflows(dim):
     results = check_sequence_core(dim, 0)
     assert [r.name for r in results] == [name for name, _ in CHECK_ALL_BOUNDS[:3]]
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("dim", [501, 1000])
+def test_flow_checks_pass_where_a_fixed_rk4_step_leaves_the_simplex(dim):
+    # With dt = 1e-3 at every N, an RK4 stage left the simplex from N = 501 on.
+    results = check_flows(dim, 0)
+    assert [r.name for r in results] == [name for name, _ in CHECK_ALL_BOUNDS[13:17]]
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("dim", [2, 16, 500])
+def test_rk4_oracle_keeps_its_step_up_to_dim_500(monkeypatch, dim):
+    runs = []
+    integrate = flows.integrate_rk4
+
+    def recorded(obj, p0, t_max, dt):
+        traj = integrate(obj, p0, t_max, dt)
+        runs.append((t_max, dt, traj.times[-1]))
+        return traj
+
+    monkeypatch.setattr(flows, "integrate_rk4", recorded)
+    check_flows(dim, 0)
+    assert runs == [(2.0, 1e-3, 2.0)]
 
 
 def test_bracket_result_reads_the_suite_verdict(monkeypatch):

@@ -207,6 +207,17 @@ class TestOtherCommands:
         assert payload["converged"] is True
         assert abs(payload["rate"] - 0.5) / 0.5 <= 0.05
 
+    def test_lp_start_at_the_vertex_fits_no_rate(self, tmp_path, capsys):
+        # Within 10 tol of e_0 at t = 0 there is no decade of decay to fit a rate on.
+        out = tmp_path / "lp.json"
+        code = main(["lp", "--dim", "3", "--c", "explicit:1,0,-1",
+                     "--p0", "explicit:0.9999998,0.0000001,0.0000001",
+                     "--tol", "1e-6", "--out", str(out), "--no-timestamp"])
+        assert code == 0
+        assert capsys.readouterr().out == f"lp dim=3 converged=True rate=none out={out} pass\n"
+        payload = json.loads(out.read_text())
+        assert payload["rate"] is None and payload["rate_rel_err"] is None
+
     def test_lp_constant_objective_fails(self, tmp_path):
         code = main(["lp", "--dim", "4", "--c", "explicit:1,1,1,1", "--p0", "uniform",
                      "--tol", "1e-6", "--out", str(tmp_path / "lp.json")])
@@ -589,13 +600,16 @@ class TestRejectedInputs:
             (None, ["integrability", "--dim", "4", "--c", "uniform", "--format", "csv"],
              "integrability writes JSON"),
             (None, ["check-all", "--dim", "4", "--format", "csv"], "check-all writes JSON"),
+            ({"kind": "explicit", "dim": 3, "coords": [0.2, 0.3, 0.6], "normalize": "none"},
+             ["lp", "--dim", "3", "--c", "explicit:1,0,-1", "--p0", "FILE", "--tol", "1e-6"],
+             "explicit coords sum to 1.1; pass normalize='simplex' to rescale"),
         ],
         ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
              "v0-without-p0", "geodesic-lossy-p0", "grid-dt-1e-300", "grid-ratio-overflows",
              "grid-1e12-rows", "grid-1e12-rows-rk4", "out-parent-missing", "out-is-directory",
              "file-v0-2d-coords", "file-dim-not-integer", "file-misspelt-key",
              "file-key-its-kind-ignores", "csv-isometry", "csv-bracket", "csv-integrability",
-             "csv-check-all"],
+             "csv-check-all", "file-explicit-off-unit-sum"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
         path = tmp_path / "spec.json"
@@ -653,6 +667,18 @@ class TestRejectedInputs:
         common = ["--dim", "4", "--c", "explicit:3,2,1,0", "--p0", f"file:{path}", "--out", str(out)]
         assert main(argv + common) == 0
         assert out.exists()
+
+    def test_unnormalized_explicit_point_from_a_file(self, tmp_path):
+        # Within the membership tolerance of a unit sum, the coordinates are taken as given.
+        coords = [0.2, 0.3, 0.5 + 1e-12]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "explicit", "dim": 3, "coords": coords, "normalize": "none"}))
+        out = tmp_path / "flow.csv"
+        assert main(["flow", "--dim", "3", "--c", "explicit:1,0,-1", "--p0", f"file:{path}",
+                     "--t-max", "1", "--dt", "1", "--out", str(out)]) == 0
+        # The t = 0 row is the point after one softmax, so it keeps the coordinates to rounding.
+        first = out.read_text().splitlines()[1].split(",")
+        np.testing.assert_allclose([float(x) for x in first[1:4]], coords, rtol=1e-11)
 
     @pytest.mark.parametrize("command", [
         ["bracket", "--dim", "4"],

@@ -17,6 +17,7 @@ from simplexgeo.errors import (
     BaseMismatch,
     CurveDomain,
     InvalidExponent,
+    LengthMismatch,
     LossyTruncation,
     NonFiniteInput,
     SimplexGeoError,
@@ -120,6 +121,10 @@ class TestEGeodesic:
         p = SimplexPoint(np.array([0.4, 0.4]), tail_bound=0.2)
         with pytest.raises(LossyTruncation):
             make_e_geodesic(p, make_tangent(p, np.array([0.1, -0.1])))
+
+    def test_exponent_length_mismatch(self, half_half):
+        with pytest.raises(LengthMismatch, match="exponent vector has length 3, point has dim 2"):
+            EGeodesic(half_half, np.array([1.0, -1.0, 0.0]))
 
     def test_closed_form_value(self, half_half):
         # with a=(1,-1), p_0(t) = e^{2t}/(e^{2t}+1); e^{2t}=3 at t=ln(3)/2

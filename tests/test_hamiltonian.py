@@ -447,6 +447,87 @@ class TestProjectionConsistency:
             np.testing.assert_allclose(doubled, expect.coords, atol=1e-13)
 
 
+def suite_streams(trials, seed):
+    return np.random.SeedSequence(seed).spawn(trials + 1)
+
+
+def reference_gram_det(c, seed):
+    """The one-trial suite's Gram determinant, taken from the full N^2 matrix of inner products."""
+    zg = random_complex_point(np.random.default_rng(suite_streams(1, seed)[-1]), c.size)
+    grads = []
+    for g, _ in wirtinger([coordinate_hamiltonian(c, k) for k in range(c.size)], zg):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(g)
+            if not math.isfinite(norm):
+                g = g / np.abs(g).max()
+                norm = np.linalg.norm(g)
+        grads.append(g / norm if norm > 0.0 else g)
+    gram = np.array([[np.vdot(a, b).real for b in grads] for a in grads])
+    return float(np.linalg.det(gram))
+
+
+def reference_drift(c, trials, seed):
+    """The conservation drift as the suite took it, one ``_row_values`` pass per mode."""
+    h_full = QuadraticHamiltonian(c)
+    drifts = []
+    for stream in suite_streams(trials, seed)[:-1]:
+        z = random_complex_point(np.random.default_rng(stream), c.size)
+        path = [z.coords] + [hamiltonian_flow(h_full, z, t).coords for t in (0.1, 1.0, 10.0)]
+        abs2 = np.abs(np.array(path)) ** 2
+        for k in range(c.size):
+            energy = hamiltonian._row_values(coordinate_hamiltonian(c, k), abs2)
+            drifts.append(float(np.abs(energy[1:] - energy[0]).max()))
+    return float(np.max(drifts, initial=0.0))
+
+
+@st.composite
+def suite_weights(draw):
+    """Weights of 1 to 48 modes: uniform, with zeros, signed near 1e300 or 1e-300, or geometric."""
+    n = draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "zeros", "huge", "tiny", "geometric"]))
+    sign = rng.choice([-1.0, 1.0], n)
+    if kind == "uniform":
+        return rng.uniform(-3.0, 3.0, n)
+    if kind == "zeros":
+        return np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.5, 3.0, n))
+    if kind == "huge":
+        return sign * 10.0 ** rng.uniform(299.0, 300.5, n)
+    if kind == "tiny":
+        return sign * 10.0 ** -rng.uniform(299.0, 301.0, n)
+    return rng.uniform(0.1, 0.9) ** np.arange(n)
+
+
+class TestSuiteBlocks:
+    """The Gram block reads only the diagonal and the drift takes every mode in one pass;
+    both give the bits of the full matrix and of the per-mode loop they replaced."""
+
+    @staticmethod
+    def run_suite(c, trials, seed):
+        # The brackets read neither block; skipping them keeps near-overflow weights cheap.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hamiltonian, "bracket_max", lambda quadratics, z: (0.0, 0.0))
+            return integrability_suite(c, trials=trials, seed=seed)
+
+    @settings(max_examples=60)
+    @given(c=suite_weights(), seed=st.integers(0, 2**32 - 1))
+    @example(c=np.array([2.5]), seed=0)
+    @example(c=np.array([1.0, 0.0, 2.0]), seed=5)
+    @example(c=np.array([1.7e154, 1.0, 1.0]), seed=7)
+    @example(c=np.array([-1e300, 3e300, 1e-300]), seed=1)
+    def test_gram_determinant_matches_the_full_matrix(self, c, seed):
+        got = self.run_suite(c, 1, seed)["gram_det"]
+        assert bits(got) == bits(reference_gram_det(c, seed))
+
+    @settings(max_examples=60)
+    @given(c=suite_weights(), trials=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(c=np.array([2.5]), trials=1, seed=0)
+    @example(c=np.array([1.0, 0.0, -2.0]), trials=2, seed=5)
+    def test_drift_matches_the_per_mode_loop(self, c, trials, seed):
+        got = self.run_suite(c, trials, seed)["conservation_max_drift"]
+        assert bits(got) == bits(reference_drift(c, trials, seed))
+
+
 class TestIntegrabilitySuite:
     def test_three_mode_run(self):
         report = integrability_suite(np.array([3.0, 2.0, 1.0]), trials=10, seed=42)

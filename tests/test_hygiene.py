@@ -20,7 +20,9 @@ and a field that every call passes should be required (``init=False`` and
 package defines and discards the result: an object built only for the
 error its constructor raises is a check the rule's own function makes.
 ``__init__.py`` imports modules without using them, so it has its own
-rule: each public name has one import path, its home module.
+rule: each public name has one import path, its home module.  A constant
+that ``README.md`` quotes in backticks as ``[simplexgeo.]module.NAME =
+value`` must have that value in its module.
 
 The package's size is quoted in one unit, counted by :func:`code_lines`
 with ``tokenize``: lines holding a token other than a comment, minus the
@@ -32,6 +34,8 @@ file prints both numbers for ``src/simplexgeo``::
 
 import ast
 import io
+import operator
+import re
 import tokenize
 from pathlib import Path
 
@@ -231,6 +235,45 @@ def namespace_violations(source: str) -> list[str]:
     return bad
 
 
+_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+
+def _literal(node: ast.expr):
+    """Value of a constant, or of constants joined by + - * / ** and unary minus."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_literal(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_literal(node.left), _literal(node.right))
+    raise ValueError(f"not a literal: {ast.unparse(node)}")
+
+
+#: A constant quoted as ``[simplexgeo.]module.NAME = value`` between backticks.
+_QUOTED_CONSTANT = re.compile(r"`(?:simplexgeo\.)?(\w+)\.(\w+) = ([^`]+)`")
+
+
+def stale_quoted_constants(text: str, modules: dict[str, str]) -> list[str]:
+    """Quoted constants of ``text`` whose value is not the one module-level
+    assignment of that name in ``modules`` (module name -> source)."""
+    stale = []
+    for module, name, quoted in _QUOTED_CONSTANT.findall(text):
+        assigned = [
+            _literal(node.value)
+            for node in ast.parse(modules.get(module, "")).body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
+        ]
+        if assigned != [_literal(ast.parse(quoted, mode="eval").body)]:
+            stale.append(f"{module}.{name} = {quoted}")
+    return stale
+
+
 #: Token types that hold no code: comments, line ends and indentation.
 _LAYOUT_TOKENS = {
     tokenize.COMMENT,
@@ -353,6 +396,18 @@ def test_checker_flags_a_class_built_only_to_raise():
     assert discarded_constructions([user]) == []
 
 
+def test_checker_flags_a_stale_quoted_constant():
+    modules = {"core": "_BLOCK = 2**14\nSTEP = 1e-5\nSTEP2 = STEP * 2\n", "flows": "TOL = -1e-12\n"}
+    text = (
+        "blocks of `core._BLOCK = 16384`, a step `simplexgeo.core.STEP = 1e-5`, "
+        "`flows.TOL = -1e-12`, `core.STEP = 1e-4`, `core.GONE = 1`, `other.X = 1`, "
+        "`core._BLOCK` and `f(x) = y`"
+    )
+    assert stale_quoted_constants(text, modules) == ["core.STEP = 1e-4", "core.GONE = 1", "other.X = 1"]
+    with pytest.raises(ValueError, match="not a literal: STEP"):
+        stale_quoted_constants("`core.STEP2 = 2e-5`", modules)
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -398,6 +453,14 @@ def test_every_dataclass_default_is_used_by_a_caller_besides_unit_tests():
 def test_no_class_is_built_only_to_raise():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert discarded_constructions(sources) == []
+
+
+def test_readme_quotes_every_constant_at_its_value():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quoted = {name for _, name, _ in _QUOTED_CONSTANT.findall(readme)}
+    assert {"_SOFTMAX_BLOCK", "_LENGTH_BLOCK", "_STACK_BLOCK", "FIELD_STEP"} <= quoted
+    assert stale_quoted_constants(readme, modules) == []
 
 
 def test_package_namespace_binds_only_modules():

@@ -67,6 +67,16 @@ class TestMakeSimplexPoint:
         with pytest.raises(RatioOutOfRange):
             SequenceSpec("geometric", 4, ratio=1.5)
 
+    def test_unnormalized_explicit_within_tolerance_kept(self):
+        coords = np.array([0.2, 0.3, 0.5 + 1e-12])
+        p = make_simplex_point(SequenceSpec("explicit", 3, coords=coords, normalize="none"))
+        assert np.array_equal(p.coords, coords) and p.tail_bound == 0.0
+
+    def test_unnormalized_explicit_off_unit_sum_rejected(self):
+        spec = SequenceSpec("explicit", 3, coords=np.array([0.2, 0.3, 0.6]), normalize="none")
+        with pytest.raises(NotNormalizable, match="pass normalize='simplex' to rescale"):
+            make_simplex_point(spec)
+
     def test_membership_invariants(self, rng):
         for dim in (2, 5, 64):
             p = random_simplex_point(rng, dim)
@@ -146,6 +156,16 @@ class TestRefine:
         points = refine(spec, [4, 8])
         assert [p.dim for p in points] == [4, 8]
         assert all(p.tail_bound == 0.0 for p in points)
+
+    @given(st.floats(1e-6, 1.0 - 1e-6))
+    def test_tail_from_zero_is_the_infinite_total(self, ratio):
+        assert SequenceSpec("geometric", 4, ratio=ratio).tail_sum(0) == 1.0 / (1.0 - ratio)
+
+    @pytest.mark.parametrize("kind", ["uniform", "explicit"])
+    def test_tail_needs_a_tail_model(self, kind):
+        spec = SequenceSpec(kind, 2, coords=np.array([0.5, 0.5]) if kind == "explicit" else None)
+        with pytest.raises(NoTailModel, match=f"{kind} specs have no analytic tail"):
+            spec.tail_sum(0)
 
     def test_unnormalized_tail_bounds(self):
         spec = SequenceSpec("geometric", 4, ratio=0.5, normalize="none")

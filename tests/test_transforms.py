@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simplexgeo.errors import InvalidExponent, LossyTruncation, NotPositive
+from simplexgeo.errors import (
+    InvalidExponent,
+    LengthMismatch,
+    LossyTruncation,
+    NotNormalizable,
+    NotPositive,
+)
 from simplexgeo.metrics import finsler_norm, fr_inner
 from simplexgeo.sequence_core import (
     SequenceSpec,
     SimplexPoint,
     SpherePoint,
+    SphereTangent,
     lq_norm,
     make_simplex_point,
     make_tangent,
@@ -83,6 +90,26 @@ class TestInverse:
             lifted = forward(p, q)
             again = forward(inverse(lifted), q)
             np.testing.assert_allclose(again.coords, lifted.coords, rtol=0, atol=1e-14)
+
+
+class TestSphereRules:
+    def test_power_sum_above_one_rejected(self):
+        with pytest.raises(NotNormalizable, match=r"sum \|x\|\^q = 2.0, outside \[1 - 0.0, 1\]"):
+            SpherePoint(np.array([1.0, 1.0]), q=2.0, mass_deficit=0.0)
+
+    def test_power_sum_within_the_deficit_kept(self):
+        x = SpherePoint(np.array([0.6, 0.6]), q=2.0, mass_deficit=0.3)
+        assert x.coords.tolist() == [0.6, 0.6]
+
+    def test_tangent_length_rejected(self):
+        x = SpherePoint(np.array([np.sqrt(0.5), np.sqrt(0.5)]), q=2.0, mass_deficit=0.0)
+        with pytest.raises(LengthMismatch, match="components have length 3, base has 2"):
+            SphereTangent(x, np.array([1.0, -1.0, 0.0]))
+
+    def test_tangency_defect_rejected(self):
+        x = SpherePoint(np.array([0.5, (7 / 8) ** (1 / 3)]), q=3.0, mass_deficit=0.0)
+        with pytest.raises(NotNormalizable, match=r"tangency defect 0.25 at q=3.0"):
+            SphereTangent(x, np.array([1.0, 0.0]))
 
 
 class TestPushforward:
