@@ -31,8 +31,9 @@ CHECK_ALL_BOUNDS = [
 ]
 
 
-def test_check_all_bounds_pinned():
-    results = check_all(4, 0)
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_check_all_bounds_pinned(dim):
+    results = check_all(dim, 0)
     assert [(r.name, r.threshold) for r in results] == CHECK_ALL_BOUNDS
     assert all(r.passed for r in results)
 

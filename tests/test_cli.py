@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -706,3 +709,25 @@ class TestRejectedInputs:
                      "--out", str(tmp_path / "flow.csv")])
         assert code == 1
         assert "error in simplexgeo.flows" in capsys.readouterr().err
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # Loading numpy.random costs about 10 ms and 5 MB of peak RSS per process, and
+    # the flow, geodesic and lp commands draw nothing.  Only a seeded command may load it.
+    probe = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import simplexgeo.cli\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert after == before, "import simplexgeo.cli loaded numpy.random"

@@ -8,11 +8,11 @@ counts as used when it appears anywhere in the module as a bare name
 (``np`` in ``np.zeros`` included).  A private name (``_x``) counts as read
 when some top-level statement of the package other than its own
 definition names it, imports it or reads it as an attribute.  A public
-name counts as read the same way, or when a script under ``scripts/`` or
-``tests/test_acceptance.py`` names it.  A defaulted parameter of a public
-module-level function counts as passed when some call of that name in the
-package, a script, ``tests/test_acceptance.py`` or ``perfbench/*.py`` gives
-it by keyword, by position or through ``*args`` / ``**kwargs``.  A defaulted
+name counts as read the same way, or when ``tests/test_acceptance.py`` names
+it.  A defaulted parameter of a public module-level function counts as
+passed when some call of that name in the package, in
+``tests/test_acceptance.py`` or in ``perfbench/*.py`` gives it by keyword,
+by position or through ``*args`` / ``**kwargs``.  A defaulted
 field of a public ``@dataclass`` is the converse case: its default counts as
 used when some constructor call among the same callers leaves the field out,
 and a field that every call passes should be required (``init=False`` and
@@ -43,7 +43,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "simplexgeo"
-SCRIPTS = ROOT / "scripts"
 PERFBENCH = ROOT / "perfbench"
 
 
@@ -429,15 +428,13 @@ def test_every_private_name_is_read():
 
 def test_every_public_name_has_a_caller_besides_unit_tests():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    readers = [p.read_text(encoding="utf-8") for p in sorted(SCRIPTS.glob("*.py"))]
-    readers.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    readers = [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
     assert unread_public_names(sources, readers) == []
 
 
 def _package_and_callers() -> tuple[list[str], list[str]]:
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    callers = sources + [p.read_text(encoding="utf-8") for p in sorted(SCRIPTS.glob("*.py"))]
-    callers.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    callers = sources + [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
     callers += [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
     return sources, callers
 
