@@ -178,9 +178,9 @@ def check_connections(dim: int, seed: int) -> list[CheckResult]:
         shifted = connections.EGeodesic(p0, geo.a + 5.0)
         for tt in (-1.0, 0.3, 2.0):
             gauge = max(gauge, float(np.abs(geo(tt).coords - shifted(tt).coords).max()))
-        V = connections.constant_field(random_tangent(rng, p0).comps)
-        W = connections.constant_field(random_tangent(rng, p0).comps)
-        out = connections.alpha_connection(V, W, p0, q=float(rng.uniform(1.5, 4.0)))
+        v = random_tangent(rng, p0).comps
+        w = random_tangent(rng, p0).comps
+        out = connections.alpha_connection(lambda _: v, lambda _: w, p0, q=float(rng.uniform(1.5, 4.0)))
         zero_sum = max(zero_sum, abs(float(out.comps.sum())))
     return [
         _result("e-geodesic equation residual", residual, 1e-6),

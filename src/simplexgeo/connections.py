@@ -1,11 +1,12 @@
 """Directional derivatives, the alpha-connection, and exponential geodesics.
 
-Derivatives of vector fields are taken along the affine line p + t*v,
-which is a valid chart curve because zero-sum directions preserve the
-coordinate sum.  Exponential geodesics are softmax curves
+A vector field is a plain function from a point to raw components;
+each value is attached with ``make_tangent`` at the point where it was
+evaluated.  Derivatives of vector fields are taken along the affine line
+p + t*v, which is a valid chart curve because zero-sum directions
+preserve the coordinate sum.  Exponential geodesics are softmax curves
 p_n(t) = p_n(0) exp(a_n t) / Z(t); they are defined for every real t,
-and adding a common constant to the exponents leaves the curve unchanged,
-so the representative with zero gauge is stored.
+and exponents that differ by a common shift give the same curve.
 """
 
 from __future__ import annotations
@@ -42,30 +43,8 @@ CURVE_STEP = 1e-3
 _STEP_FLOOR = 1e-8
 
 Curve = Callable[[float], SimplexPoint]
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Named map from simplex points to tangent vectors at those points.
-
-    The callable must be pure; all operations here assume evaluations at
-    equal points return equal values.
-    """
-
-    func: Callable[[SimplexPoint], TangentVector]
-    label: str
-
-    def __call__(self, p: SimplexPoint) -> TangentVector:
-        v = self.func(p)
-        if not same_point(v.base, p):
-            raise BaseMismatch(f"field {self.label!r} returned a vector at a different point")
-        return v
-
-
-def constant_field(w) -> VectorField:
-    """Field assigning the same zero-sum components everywhere."""
-    arr = np.asarray(w, dtype=float)
-    return VectorField(lambda p: make_tangent(p, arr), "const")
+#: A vector field: a pure map from a point to raw components, attached there by make_tangent.
+Field = Callable[[SimplexPoint], np.ndarray]
 
 
 def _shift(p: SimplexPoint, v: TangentVector, h: float) -> SimplexPoint | None:
@@ -75,7 +54,7 @@ def _shift(p: SimplexPoint, v: TangentVector, h: float) -> SimplexPoint | None:
     return None
 
 
-def directional_derivative(W: VectorField, p: SimplexPoint, v: TangentVector) -> np.ndarray:
+def directional_derivative(W: Field, p: SimplexPoint, v: TangentVector) -> np.ndarray:
     """Central-difference derivative of W along the line p + t*v.
 
     The step starts at ``FIELD_STEP`` and is halved until both p + h*v and
@@ -90,10 +69,10 @@ def directional_derivative(W: VectorField, p: SimplexPoint, v: TangentVector) ->
             raise StepUnderflow(
                 f"no step above {_STEP_FLOOR} keeps {p.coords.min():.3g}-interior point positive"
             )
-    return (W(plus).comps - W(minus).comps) / (2.0 * h)
+    return (make_tangent(plus, W(plus)).comps - make_tangent(minus, W(minus)).comps) / (2.0 * h)
 
 
-def alpha_connection(V: VectorField, W: VectorField, p: SimplexPoint, q: float) -> TangentVector:
+def alpha_connection(V: Field, W: Field, p: SimplexPoint, q: float) -> TangentVector:
     """Covariant derivative of W along V for the alpha = 1 - 2/q family.
 
     D_V W(p) - (1/q*) ( (V_n/p_n) W_n - (sum_k V_k W_k / p_k) p_n )
@@ -101,14 +80,12 @@ def alpha_connection(V: VectorField, W: VectorField, p: SimplexPoint, q: float) 
     the simplex, so the finite-difference residue is projected away.
     """
     check_exponent(q)
-    v = V(p)
-    wp = W(p).comps
+    v = make_tangent(p, V(p))
+    wp = make_tangent(p, W(p)).comps
     d = directional_derivative(W, p, v)
     inv_qstar = (q - 1.0) / q
     weighted = v.comps * wp / p.coords
     raw = d - inv_qstar * (weighted - float(weighted.sum()) * p.coords)
-    if abs(float(raw.sum())) > 1e-10 * max(1.0, float(np.abs(raw).max())):
-        raise CurveDomain(f"connection output drifted off the tangent plane: sum {raw.sum()}")
     return make_tangent(p, raw)
 
 
@@ -167,10 +144,11 @@ def e_connection_residual(curve: Curve, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EGeodesic:
-    """Exponential geodesic: initial point plus exponents, gauge-fixed.
+    """Exponential geodesic: initial point plus exponents, kept as given.
 
-    Exponents are stored with zero gauge; any common shift produces the
-    same curve, since it cancels between numerator and normalizer.
+    Exponents that differ by a common shift give the same curve, since the
+    shift cancels between numerator and normalizer.  :func:`make_e_geodesic`
+    gives zero gauge, <p0, a> = sum v0 = 0 up to rounding.
     """
 
     p0: SimplexPoint

@@ -95,7 +95,6 @@ class ParseError(SimplexGeoError):
     """A sequence-spec string does not match the accepted grammar."""
 
     def __init__(self, text: str, position: int, message: str):
-        self.text = text
         self.position = position
         super().__init__(f"{message} (at position {position} in {text!r})")
 

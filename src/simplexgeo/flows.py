@@ -283,8 +283,6 @@ def _fit_rate(obj: LinearObjective, p0: SimplexPoint, tol: float, t_hi_bracket: 
         return None
     ts = np.linspace(t_hi, t_lo, 50)
     ds = _vertex_gaps(softmax_rows(p0, obj.c, ts))
-    if np.any(ds <= 0.0):
-        return None
     slope = np.polyfit(ts, np.log(ds), 1)[0]
     return float(-slope)
 

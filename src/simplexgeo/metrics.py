@@ -42,8 +42,8 @@ def finsler_norm(v: TangentVector, q: float) -> float:
 def fr_distance(p: SimplexPoint, r: SimplexPoint) -> float:
     """Fisher-Rao distance arccos(sum sqrt(p_n r_n)).
 
-    The argument is clamped to [-1, 1]; values within 1e-12 of 1 are
-    treated as coincident points and return 0.
+    The argument is a sum of square roots, so it is never negative; values
+    within 1e-12 of 1 are treated as coincident points and return 0.
     """
     if p.dim != r.dim:
         raise DimensionMismatch(f"dims {p.dim} and {r.dim} differ")
@@ -52,7 +52,7 @@ def fr_distance(p: SimplexPoint, r: SimplexPoint) -> float:
     cos = float(np.sum(np.sqrt(p.coords * r.coords)))
     if cos >= 1.0 - 1e-12:
         return 0.0
-    return float(np.arccos(max(-1.0, cos)))
+    return float(np.arccos(cos))
 
 
 def fr_geodesic(p: SimplexPoint, r: SimplexPoint, t: float) -> SimplexPoint:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from simplexgeo.sequence_core import SimplexPoint, random_simplex_point, random_tangent
+from simplexgeo.sequence_core import SimplexPoint
 
 settings.register_profile(
     "ci", max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -19,10 +19,3 @@ def rng():
 def half_half():
     return SimplexPoint(np.array([0.5, 0.5]))
 
-
-def draw_point(rng, dim):
-    return random_simplex_point(rng, dim)
-
-
-def draw_tangent(rng, p, **kw):
-    return random_tangent(rng, p, **kw)

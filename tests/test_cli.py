@@ -606,27 +606,46 @@ class TestRejectedInputs:
             ({"kind": "explicit", "dim": 3, "coords": [0.2, 0.3, 0.6], "normalize": "none"},
              ["lp", "--dim", "3", "--c", "explicit:1,0,-1", "--p0", "FILE", "--tol", "1e-6"],
              "explicit coords sum to 1.1; pass normalize='simplex' to rescale"),
+            ({"method": "euler"}, FLOW + ["--t-max", "1", "--dt", "0.5", "--config", "CONFIG"],
+             "config error: method must be 'closed' or 'rk4', got 'euler'\n"),
+            ({"format": "xml"}, ["isometry", "--dim", "4", "--config", "CONFIG"],
+             "config error: format must be 'csv' or 'json', got 'xml'\n"),
+            (None, ["isometry", "--dim", "1"], "config error: dim must be >= 2, got 1\n"),
+            (None, ["integrability", "--dim", "2", "--c", "explicit:1,x"],
+             "config error: bad number 'x' (at position 11 in 'explicit:1,x')\n"),
+            (None, ["integrability", "--dim", "4", "--c", "explicit:1,2"],
+             "config error: explicit spec has 2 coords but dim is 4\n"),
+            (None, ["isometry", "--dim", "4", "--config", "MISSING/a.json"],
+             "config error: cannot load config"),
+            ({"kind": "explicit", "dim": 4, "coords": [0.2, 0.3, 0.5]},
+             ["integrability", "--dim", "4", "--c", "FILE"], "config error: 3 coords but dim 4\n"),
         ],
         ids=["file-kind-bogus", "file-sphere-no-q", "p0-negative", "c-nan", "unread-c-bogus",
              "v0-without-p0", "geodesic-lossy-p0", "grid-dt-1e-300", "grid-ratio-overflows",
              "grid-1e12-rows", "grid-1e12-rows-rk4", "out-parent-missing", "out-is-directory",
              "file-v0-2d-coords", "file-dim-not-integer", "file-misspelt-key",
              "file-key-its-kind-ignores", "csv-isometry", "csv-bracket", "csv-integrability",
-             "csv-check-all", "file-explicit-off-unit-sum"],
+             "csv-check-all", "file-explicit-off-unit-sum", "config-method-euler",
+             "config-format-xml", "dim-1", "explicit-bad-number", "explicit-count-not-dim",
+             "config-missing", "file-coords-not-dim"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
+        # spec.json is the --c/--p0/--v0 spec file (FILE) or the --config file (CONFIG).
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_file))
         (tmp_path / "dir").mkdir()
         out = tmp_path / "out.json"
-        places = {"FILE": f"file:{path}", "DIR": str(tmp_path / "dir"),
+        places = {"FILE": f"file:{path}", "CONFIG": str(path), "DIR": str(tmp_path / "dir"),
                   "MISSING/a.json": str(tmp_path / "missing" / "a.json")}
         argv = [places.get(a, a) for a in argv]
         if "--out" not in argv:
             argv += ["--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and message in err
+        if message.endswith("\n"):  # a whole line: all of stderr
+            assert err == message
+        else:
+            assert err.startswith("config error:") and message in err
         # Nothing is computed or written: no output, no temp file, no new directory.
         assert sorted(os.listdir(tmp_path)) == ["dir", "spec.json"]
         assert os.listdir(tmp_path / "dir") == []
@@ -702,6 +721,13 @@ class TestRejectedInputs:
         assert err.startswith("config error:") and "seed must be >= 0" in err
         assert not out.exists()
 
+    def test_non_integer_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIMPLEXGEO_SEED", "abc")
+        out = tmp_path / "out.json"
+        assert main(["isometry", "--dim", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: SIMPLEXGEO_SEED='abc' is not an integer\n"
+        assert not out.exists()
+
     def test_library_error_inside_a_body_exits_1(self, tmp_path, capsys):
         # Valid inputs, but one RK4 step of size 1 leaves the open simplex.
         code = main(["flow", "--dim", "2", "--c", "explicit:100,0", "--p0", "uniform",
@@ -709,6 +735,18 @@ class TestRejectedInputs:
                      "--out", str(tmp_path / "flow.csv")])
         assert code == 1
         assert "error in simplexgeo.flows" in capsys.readouterr().err
+
+    def test_rk4_step_leaving_the_simplex_exits_1(self, tmp_path, capsys, recwarn):
+        # Every stage stays in the open simplex, but the step's weighted sum of them does not.
+        out = tmp_path / "flow.csv"
+        code = main(["flow", "--dim", "2", "--c", "explicit:6.5,0", "--p0", "explicit:0.1,0.9",
+                     "--t-max", "1", "--dt", "1", "--method", "rk4", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            "flow dim=2 error in simplexgeo.flows.integrate_rk4: "
+            "an RK4 step left the open simplex; shrink dt\n"
+        ))
+        assert not out.exists() and not recwarn.list
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -110,7 +110,7 @@ class TestWirtinger:
         assert dz[0] == 0.0 and dz[2] == 0.0
         assert dz[1] == 2.0 * z.coords[1].conjugate()
 
-    def test_constant_field(self, rng):
+    def test_zero_weights_have_zero_jets(self, rng):
         # Zero weights: the constant field 0, whose 1-jets vanish on both paths.
         z = random_complex_point(rng, 4)
         for numeric in (False, True):

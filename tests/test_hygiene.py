@@ -22,7 +22,9 @@ error its constructor raises is a check the rule's own function makes.
 ``__init__.py`` imports modules without using them, so it has its own
 rule: each public name has one import path, its home module.  A constant
 that ``README.md`` quotes in backticks as ``[simplexgeo.]module.NAME =
-value`` must have that value in its module.
+value`` must have that value in its module.  In ``tests/conftest.py`` every
+module-level function needs a user in ``tests/``: a fixture some function
+takes as a parameter, any other function a name that some other statement reads.
 
 The package's size is quoted in one unit, counted by :func:`code_lines`
 with ``tokenize``: lines holding a token other than a comment, minus the
@@ -44,6 +46,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "simplexgeo"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -216,6 +219,36 @@ def discarded_constructions(sources: list[str]) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and _callee(node.value) in classes
     ]
+
+
+def unused_conftest_functions(conftest: str, tests: list[str]) -> list[str]:
+    """Module-level functions of ``conftest`` that nothing uses: a fixture that no function
+    of ``conftest`` or ``tests`` takes as a parameter, any other function that no other
+    statement of them names."""
+    home = ast.parse(conftest).body
+    trees = [ast.parse(source) for source in tests]
+    functions = [
+        node
+        for tree in [*trees, *home]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    unused = []
+    for node in home:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(_callee(d) == "fixture" for d in node.decorator_list):
+            used = any(
+                node.name in {a.arg for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs}
+                for f in functions
+                if f is not node
+            )
+        else:
+            others = [stmt for stmt in home if stmt is not node] + trees
+            used = any(node.name in _named(other) for other in others)
+        if not used:
+            unused.append(node.name)
+    return sorted(unused)
 
 
 def namespace_violations(source: str) -> list[str]:
@@ -407,6 +440,20 @@ def test_checker_flags_a_stale_quoted_constant():
         stale_quoted_constants("`core.STEP2 = 2e-5`", modules)
 
 
+def test_checker_flags_an_unused_conftest_function():
+    conftest = (
+        "@pytest.fixture\ndef rng():\n    return 1\n\n"
+        "@pytest.fixture(scope='module')\ndef unused():\n    return 2\n\n"
+        "@pytest.fixture\ndef derived(rng):\n    return rng\n\n"
+        "def helper(x):\n    return x\n\n"
+        "def orphan():\n    return orphan\n"
+    )
+    test = "from conftest import helper\n\ndef test_a(derived):\n    assert helper(derived)\n\n"
+    test += "def test_b(orphan):\n    pass\n"
+    assert unused_conftest_functions(conftest, [test]) == ["orphan", "unused"]
+    assert unused_conftest_functions(conftest, []) == ["derived", "helper", "orphan", "unused"]
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -458,6 +505,11 @@ def test_readme_quotes_every_constant_at_its_value():
     quoted = {name for _, name, _ in _QUOTED_CONSTANT.findall(readme)}
     assert {"_SOFTMAX_BLOCK", "_LENGTH_BLOCK", "_STACK_BLOCK", "FIELD_STEP"} <= quoted
     assert stale_quoted_constants(readme, modules) == []
+
+
+def test_every_conftest_function_is_used_by_a_test():
+    tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py")) if p.name != "conftest.py"]
+    assert unused_conftest_functions((TESTS / "conftest.py").read_text(encoding="utf-8"), tests) == []
 
 
 def test_package_namespace_binds_only_modules():
