@@ -279,8 +279,6 @@ def _fit_rate(obj: LinearObjective, p0: SimplexPoint, tol: float, t_hi_bracket: 
         return None
     t_hi = _crossing_time(obj, p0, level_hi, 0.0, t_hi_bracket)
     t_lo = _crossing_time(obj, p0, level_lo, t_hi, t_hi_bracket)
-    if not t_lo > t_hi:
-        return None
     ts = np.linspace(t_hi, t_lo, 50)
     ds = _vertex_gaps(softmax_rows(p0, obj.c, ts))
     slope = np.polyfit(ts, np.log(ds), 1)[0]

@@ -305,10 +305,7 @@ def kahler_gradient_check(H: QuadraticHamiltonian, z: ComplexPoint) -> float:
 def random_complex_point(rng: np.random.Generator, dim: int) -> ComplexPoint:
     """Unit complex vector with rotation-invariant direction."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    norm = np.linalg.norm(z)
-    if norm == 0.0:
-        raise NotNormalizable("degenerate draw")
-    return ComplexPoint(z / norm)
+    return ComplexPoint(z / np.linalg.norm(z))
 
 
 def integrability_suite(c, trials: int, seed: int) -> dict:

@@ -206,6 +206,23 @@ class TestSolveLp:
         assert report.rate == pytest.approx(obj.gap, rel=0.05)
         assert report.rate_rel_err <= 0.05
 
+    # The rate fit's last decade of decay spans at least one ulp of its start
+    # even here: a gap of 1e12, a gap of 1e-3, and a leading coordinate of
+    # 1e-300, at tolerances from 1e-14 to 1e-10.
+    @pytest.mark.parametrize(
+        "c, p0, tol",
+        [
+            ([1e12, 0.0, -1.0], [1e-300, 0.5, 0.5], 1e-14),
+            ([1.0, 0.0], [1e-300, 1.0], 1e-10),
+            ([1e-3, 0.0, -1e-3], [0.2, 0.3, 0.5], 1e-12),
+        ],
+        ids=["gap-1e12-tiny-start", "two-point-tiny-start", "gap-1e-3"],
+    )
+    def test_rate_at_extremes(self, c, p0, tol):
+        _, report = solve_lp(LinearObjective(np.array(c)), SimplexPoint(np.array(p0)), tol=tol)
+        assert report.converged
+        assert report.rate_rel_err <= 0.05
+
     def test_constant_objective_advisory(self):
         obj = LinearObjective(np.full(4, 1.0))
         limit, report = solve_lp(obj, uniform(4), tol=1e-6)

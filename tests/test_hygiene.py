@@ -29,7 +29,8 @@ takes as a parameter, any other function a name that some other statement reads.
 The package's size is quoted in one unit, counted by :func:`code_lines`
 with ``tokenize``: lines holding a token other than a comment, minus the
 module docstrings, and also minus every docstring.  Run as a script, this
-file prints both numbers for ``src/simplexgeo``::
+file prints both numbers for each module of ``src/simplexgeo`` and for the
+whole package::
 
     python tests/test_hygiene.py
 """
@@ -517,6 +518,10 @@ def test_package_namespace_binds_only_modules():
 
 
 if __name__ == "__main__":
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, bare = code_lines(source), code_lines(source, every_docstring=True)
+        print(f"{path.name}: {lines:,} code lines, module docstring excluded; {bare:,}, every docstring excluded")
     module_docstrings, every_docstring = package_code_lines()
     print(f"{module_docstrings:,} code lines in src/simplexgeo, module docstrings excluded")
     print(f"{every_docstring:,} code lines in src/simplexgeo, every docstring excluded")

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexgeo.errors import (
@@ -224,6 +225,29 @@ class TestSoftmaxCoords:
             x = softmax_coords(logs)
             assert float(x.sum()) == 1.0
             assert x.min() > 0.0
+
+    # Small integer log-weights, often tied, times 1, ln 2 or 1e-8, with one
+    # coordinate optionally flushed to TINY: rows whose first sum often misses
+    # 1.0 and that need a second round or a reverted bump.  The examples take
+    # those paths: a second round; reverted bumps beside a flushed coordinate,
+    # at scales 1 and 1e-8; a second round with reverted bumps.
+    @settings(max_examples=300)
+    @given(
+        ints=st.lists(st.integers(-4, 4), min_size=2, max_size=8),
+        scale=st.sampled_from([1.0, math.log(2.0), 1e-8]),
+        flush=st.none() | st.integers(0, 7),
+    )
+    @example(ints=[-1, 1, 4, 2, -2], scale=math.log(2.0), flush=None)
+    @example(ints=[1, 2, 0, 0, 4, 3], scale=1.0, flush=2)
+    @example(ints=[-4, 0, -3, 3, -4], scale=1e-8, flush=1)
+    @example(ints=[-2, 1, -3, 4, 2, -2], scale=1.0, flush=None)
+    def test_exact_unit_sum_after_fix_up_rounds(self, ints, scale, flush):
+        logs = np.array(ints, dtype=float) * scale
+        if flush is not None:
+            logs[flush % logs.size] = -1e6
+        x = softmax_coords(logs)
+        assert float(x.sum()) == 1.0
+        assert x.min() > 0.0
 
     def test_underflow_flush(self):
         x = softmax_coords(np.array([0.0, -1e6]))

@@ -2,6 +2,7 @@
 own error type with its own message."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,21 @@ import pytest
 from simplexgeo.errors import DimensionMismatch, NonFiniteInput, NotNormalizable
 from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field
 from simplexgeo.hamiltonian import ComplexPoint, QuadraticHamiltonian, hamiltonian_flow
-from simplexgeo.sequence_core import SequenceSpec, SimplexPoint
+from simplexgeo.sequence_core import SequenceSpec, SimplexPoint, random_simplex_point
 
 PAIR = LinearObjective(np.array([1.0, 0.0]))
 THIRDS = SimplexPoint(np.full(3, 1.0 / 3.0))
+
+
+def _one_small_coordinate(shape, size):
+    """A Gamma draw whose first coordinate is below 0.01 / size of its sum."""
+    g = np.full(size, shape)
+    g[0] = 1e-3 * shape
+    return g
+
+
+# Every draw is rejected, so random_simplex_point reaches its draw limit in milliseconds.
+REJECTING_RNG = SimpleNamespace(gamma=_one_small_coordinate)
 
 
 @pytest.mark.parametrize(
@@ -32,11 +44,15 @@ THIRDS = SimplexPoint(np.full(3, 1.0 / 3.0))
                                   ComplexPoint(np.array([1.0, 0.0])), math.inf),
          NonFiniteInput, "time inf is not finite"),
         (lambda: SequenceSpec("explicit", 3), NotNormalizable, "explicit spec needs coords"),
+        (lambda: random_simplex_point(REJECTING_RNG, 60_000), NotNormalizable,
+         "1000 draws at dim 60000 all had a coordinate at or below 0.01 / dim"),
     ],
     ids=["objective-one-coefficient", "gradient-field-dim", "closed-form-dim",
-         "complex-point-empty", "complex-point-2d", "hamiltonian-flow-inf", "explicit-no-coords"],
+         "complex-point-empty", "complex-point-2d", "hamiltonian-flow-inf", "explicit-no-coords",
+         "simplex-draw-limit"],
 )
 def test_raises_its_typed_error(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
