@@ -18,8 +18,9 @@ configuration schema or the data model.
 Outputs are written atomically (temp file + rename).  CSV columns are
 ``t,p_0,...,p_{N-1},objective,residual_l1`` with shortest round-trip
 number formatting; JSON mirrors carry the same fields plus a report
-block.  Identical configuration and seed give byte-identical files,
-modulo a JSON timestamp that ``--no-timestamp`` suppresses.
+block.  The command line alone decides a run: no config file, environment
+variable or wall clock enters it, so identical arguments give byte-identical
+files.  ``--no-timestamp`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import math
 import os
 import sys
 import tempfile
-import time
 import traceback
 import typing
 from dataclasses import dataclass, fields
@@ -78,7 +78,7 @@ LP_RATE_TOL = 0.05
 
 
 def _type_ok(value, hint) -> bool:
-    """JSON-level type check: ints pass as floats, but bools pass only as bools."""
+    """Type check of a :class:`RunConfig` field: ints pass as floats, bools only as bools."""
     allowed = typing.get_args(hint) or (hint,)
     if isinstance(value, bool):
         return bool in allowed
@@ -100,7 +100,6 @@ class RunConfig:
     seed: int = 0
     out_path: str | None = None
     format: str | None = None
-    timestamp: bool = True
 
     def validate(self) -> None:
         if self.command not in _COMMANDS:
@@ -192,11 +191,18 @@ def parse_sequence_spec(text: str, dim: int) -> SequenceSpec:
 
 def _write_atomic(path: str, chunks: typing.Iterable[str]) -> None:
     """Write the strings of ``chunks`` to a temp file beside ``path``, then rename it
-    onto ``path``; on any exception, including one raised by ``chunks``, remove it."""
+    onto ``path``; on any exception, including one raised by ``chunks``, remove it.
+
+    The file gets the mode ``open(path, "w")`` gives a new file, 0o666 less the
+    umask, rather than the 0o600 of ``mkstemp``.
+    """
     parent = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".simplexgeo-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -261,8 +267,6 @@ def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
                 "residual_l1": traj.residual_l1.tolist(),
                 "report": report,
             }
-        if cfg.timestamp:
-            report = {**report, "timestamp": time.time()}
         # The chunks json.dumps would join, so the bytes are the same.
         encoder = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False)
         chunks = itertools.chain(encoder.iterencode(report), ["\n"])
@@ -491,8 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--out", dest="out_path")
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--no-timestamp", action="store_true")
-    common.add_argument("--config", dest="config_path")
+    # Accepted so that existing command lines keep working.
+    common.add_argument("--no-timestamp", action="store_true", help="ignored; no output has a timestamp")
     parser = argparse.ArgumentParser(
         prog="simplexgeo",
         description="Fisher-Rao flows and geometry on truncated probability simplices",
@@ -505,46 +509,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(argv: list[str]) -> RunConfig:
     args = _build_parser().parse_args(argv)
-    file_values: dict = {}
-    if args.config_path:
-        try:
-            with open(args.config_path, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load config {args.config_path!r}: {exc}") from None
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"config {args.config_path!r} does not hold a JSON object")
-    # The command comes from the command line only, so a config file may not set it.
-    settable = [f.name for f in fields(RunConfig) if f.name != "command"]
-    unknown = set(file_values) - set(settable)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = RunConfig(command=args.command)
-    for name in settable:
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            setattr(cfg, name, cli_value)
-        elif name in file_values:
-            setattr(cfg, name, file_values[name])
-    env_seed = os.environ.get("SIMPLEXGEO_SEED")
-    if args.seed is None and "seed" not in file_values and env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"SIMPLEXGEO_SEED={env_seed!r} is not an integer") from None
-    if args.no_timestamp:
-        cfg.timestamp = False
+    for f in fields(RunConfig):
+        value = getattr(args, f.name)
+        if value is not None:
+            setattr(cfg, f.name, value)
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        cfg = config_from_args(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return run(cfg)
+    return run(config_from_args(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

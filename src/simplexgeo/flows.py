@@ -295,7 +295,7 @@ def solve_lp(
     objectives that are not strictly decreasing the flow still runs, but
     the report carries an advisory since the limit may sit on a face.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise InvalidParameter(f"tol must be positive, got {tol}")
     advisory = None
     if not obj.strictly_decreasing:

@@ -171,7 +171,7 @@ class TestWriterMatchesPerCellReference:
         out = tmp_path_factory.mktemp("emit")
         report = {"command": "flow", "pass": True}
         csv_path = _emit(RunConfig("flow", out_path=str(out / "t.csv")), report, traj)
-        cfg = RunConfig("flow", format="json", timestamp=False, out_path=str(out / "t.json"))
+        cfg = RunConfig("flow", format="json", out_path=str(out / "t.json"))
         json_path = _emit(cfg, report, traj)
         with open(csv_path, "rb") as fh:
             assert fh.read() == per_cell_csv(traj).encode()
@@ -266,44 +266,15 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_byte_identical_without_timestamp(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["integrability", "--dim", "4", "--c", "geometric:0.5", "--seed", "9",
-                "--no-timestamp"]
+        # No output carries a timestamp, and --no-timestamp changes nothing.
+        a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+        args = ["integrability", "--dim", "4", "--c", "geometric:0.5", "--seed", "9"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert main(args + ["--no-timestamp", "--out", str(c)]) == 0
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert b'"timestamp"' not in a.read_bytes()
 
-    def test_env_seed_respected_and_overridden(self, monkeypatch):
-        monkeypatch.setenv("SIMPLEXGEO_SEED", "17")
-        cfg = config_from_args(["check-all", "--dim", "4"])
-        assert cfg.seed == 17
-        cfg = config_from_args(["check-all", "--dim", "4", "--seed", "9"])
-        assert cfg.seed == 9
-
-    def test_config_file_merging(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({
-            "dim": 8, "c_spec": "geometric:0.5", "p0_spec": "uniform",
-            "t_max": 1.0, "dt": 0.1, "method": "closed", "format": "csv",
-            "out_path": str(tmp_path / "from_config.csv"),
-        }))
-        cfg = config_from_args(["flow", "--config", str(path)])
-        assert cfg.dim == 8 and cfg.t_max == 1.0
-        cfg = config_from_args(["flow", "--config", str(path), "--dim", "4"])
-        assert cfg.dim == 4  # explicit flag wins
-
-    def test_unknown_config_field_rejected(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"dim": 8, "bogus": 1}))
-        with pytest.raises(ConfigError):
-            config_from_args(["flow", "--config", str(path)])
-
-    def test_config_file_cannot_set_command(self, tmp_path, capsys):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"command": "flow", "dim": 4}))
-        assert main(["isometry", "--config", str(path), "--out", str(tmp_path / "iso.json")]) == 2
-        assert capsys.readouterr().err == "config error: unknown config fields: ['command']\n"
-        assert not (tmp_path / "iso.json").exists()
 
 class TestAtomicity:
     def test_failed_replace_leaves_nothing(self, tmp_path, monkeypatch):
@@ -340,6 +311,17 @@ class TestAtomicity:
             _write_atomic(str(target), chunks())
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_output_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # The mode open(path, "w") gives a new file, not the 0o600 of the temp file.
+        out = tmp_path / "iso.json"
+        previous = os.umask(umask)
+        try:
+            assert main(["isometry", "--dim", "4", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == mode
+
 
 class TestStreamedEmission:
     """Emission holds about one row at a time, whatever the number of rows."""
@@ -350,7 +332,7 @@ class TestStreamedEmission:
         rows, dim = 1001, 256
         traj = Trajectory(np.linspace(0.0, 10.0, rows), rng.dirichlet(np.ones(dim), rows),
                           LinearObjective(rng.uniform(size=dim)), rng.uniform(size=rows))
-        cfg = RunConfig("flow", format=fmt, timestamp=False, out_path=str(tmp_path / "t.out"))
+        cfg = RunConfig("flow", format=fmt, out_path=str(tmp_path / "t.out"))
         tracemalloc.start()
         try:
             _emit(cfg, {"command": "flow", "pass": True}, traj)
@@ -439,7 +421,7 @@ class TestNearTheFloatRange:
 ALL_OPTIONS = [
     "--dim", "4", "--c", "uniform", "--p0", "geometric:0.5", "--v0", "explicit:1,-1",
     "--q", "3", "--t-max", "2", "--dt", "0.1", "--tol", "1e-3", "--method", "rk4",
-    "--seed", "3", "--out", "x.csv", "--format", "csv", "--no-timestamp", "--config", "c.json",
+    "--seed", "3", "--out", "x.csv", "--format", "csv", "--no-timestamp",
 ]
 
 TOP_HELP = """\
@@ -461,7 +443,6 @@ usage: simplexgeo flow [-h] [--dim DIM] [--c C_SPEC] [--p0 P0_SPEC]
                        [--v0 V0_SPEC] [--q Q] [--t-max T_MAX] [--dt DT]
                        [--tol TOL] [--method {closed,rk4}] [--seed SEED]
                        [--out OUT_PATH] [--format {csv,json}] [--no-timestamp]
-                       [--config CONFIG_PATH]
 
 options:
   -h, --help            show this help message and exit
@@ -477,8 +458,7 @@ options:
   --seed SEED
   --out OUT_PATH
   --format {csv,json}
-  --no-timestamp
-  --config CONFIG_PATH
+  --no-timestamp        ignored; no output has a timestamp
 """
 
 
@@ -491,11 +471,11 @@ class TestParser:
             "command": command, "dim": 4, "c_spec": "uniform", "p0_spec": "geometric:0.5",
             "v0_spec": "explicit:1,-1", "q": 3.0, "t_max": 2.0, "dt": 0.1, "tol": 1e-3,
             "method": "rk4", "seed": 3, "out_path": "x.csv", "format": "csv",
-            "no_timestamp": True, "config_path": "c.json",
+            "no_timestamp": True,
         }
         unset = vars(_build_parser().parse_args([command]))
         assert unset.pop("command") == command and unset.pop("no_timestamp") is False
-        assert set(unset.values()) == {None} and len(unset) == 13
+        assert set(unset.values()) == {None} and len(unset) == 12
 
     @pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP), (["flow", "-h"], FLOW_HELP)])
     def test_help_text(self, capsys, monkeypatch, argv, text):
@@ -514,7 +494,7 @@ class TestRunConfigValidation:
     def test_direct_run_with_config_object(self, tmp_path):
         cfg = RunConfig(
             command="lp", dim=4, c_spec="geometric:0.5", p0_spec="uniform",
-            tol=1e-8, out_path=str(tmp_path / "lp.json"), timestamp=False,
+            tol=1e-8, out_path=str(tmp_path / "lp.json"),
         )
         assert run(cfg) == 0
 
@@ -536,26 +516,29 @@ class TestRunConfigValidation:
             ({"dim": 8, "seed": 1.5}, "seed must be int"),
             ({"dim": 8, "q": True}, "q must be float"),
             ({"dim": 8, "out_path": 3}, "out_path must be str | None"),
-            ([8], "does not hold a JSON object"),
         ],
     )
-    def test_wrong_config_type_is_config_error(self, tmp_path, capsys, values, message):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(values))
-        assert main(["isometry", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and message in err
+    def test_wrong_config_type_is_config_error(self, values, message):
+        # A caller of run() may set any value; the command line gives only typed ones.
+        with pytest.raises(ConfigError) as err:
+            RunConfig("isometry", **values).validate()
+        assert message in str(err.value)
 
     @pytest.mark.parametrize(
-        "in_config, flags, stamped",
-        [(False, [], False), (True, [], True), (True, ["--no-timestamp"], False)],
+        "cfg, message",
+        [
+            (RunConfig("flow", dim=4, c_spec="uniform", p0_spec="uniform", t_max=1.0, dt=0.5,
+                       method="euler"),
+             "method must be 'closed' or 'rk4', got 'euler'"),
+            (RunConfig("isometry", dim=4, format="xml"), "format must be 'csv' or 'json', got 'xml'"),
+        ],
+        ids=["method-euler", "format-xml"],
     )
-    def test_config_timestamp(self, tmp_path, in_config, flags, stamped):
-        path = tmp_path / "run.json"
-        out = tmp_path / "iso.json"
-        path.write_text(json.dumps({"dim": 4, "timestamp": in_config, "out_path": str(out)}))
-        assert main(["isometry", "--config", str(path), *flags]) == 0
-        assert ("timestamp" in json.loads(out.read_text())) == stamped
+    def test_value_outside_the_choices_is_config_error(self, cfg, message):
+        # argparse's choices reject these on the command line; run() rejects them too.
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert str(err.value) == message
 
 
 FLOW = ["flow", "--dim", "4", "--c", "uniform", "--p0", "uniform"]
@@ -606,17 +589,11 @@ class TestRejectedInputs:
             ({"kind": "explicit", "dim": 3, "coords": [0.2, 0.3, 0.6], "normalize": "none"},
              ["lp", "--dim", "3", "--c", "explicit:1,0,-1", "--p0", "FILE", "--tol", "1e-6"],
              "explicit coords sum to 1.1; pass normalize='simplex' to rescale"),
-            ({"method": "euler"}, FLOW + ["--t-max", "1", "--dt", "0.5", "--config", "CONFIG"],
-             "config error: method must be 'closed' or 'rk4', got 'euler'\n"),
-            ({"format": "xml"}, ["isometry", "--dim", "4", "--config", "CONFIG"],
-             "config error: format must be 'csv' or 'json', got 'xml'\n"),
             (None, ["isometry", "--dim", "1"], "config error: dim must be >= 2, got 1\n"),
             (None, ["integrability", "--dim", "2", "--c", "explicit:1,x"],
              "config error: bad number 'x' (at position 11 in 'explicit:1,x')\n"),
             (None, ["integrability", "--dim", "4", "--c", "explicit:1,2"],
              "config error: explicit spec has 2 coords but dim is 4\n"),
-            (None, ["isometry", "--dim", "4", "--config", "MISSING/a.json"],
-             "config error: cannot load config"),
             ({"kind": "explicit", "dim": 4, "coords": [0.2, 0.3, 0.5]},
              ["integrability", "--dim", "4", "--c", "FILE"], "config error: 3 coords but dim 4\n"),
         ],
@@ -625,17 +602,16 @@ class TestRejectedInputs:
              "grid-1e12-rows", "grid-1e12-rows-rk4", "out-parent-missing", "out-is-directory",
              "file-v0-2d-coords", "file-dim-not-integer", "file-misspelt-key",
              "file-key-its-kind-ignores", "csv-isometry", "csv-bracket", "csv-integrability",
-             "csv-check-all", "file-explicit-off-unit-sum", "config-method-euler",
-             "config-format-xml", "dim-1", "explicit-bad-number", "explicit-count-not-dim",
-             "config-missing", "file-coords-not-dim"],
+             "csv-check-all", "file-explicit-off-unit-sum", "dim-1", "explicit-bad-number",
+             "explicit-count-not-dim", "file-coords-not-dim"],
     )
     def test_exits_2_with_config_error(self, tmp_path, capsys, spec_file, argv, message):
-        # spec.json is the --c/--p0/--v0 spec file (FILE) or the --config file (CONFIG).
+        # spec.json is the --c/--p0/--v0 spec file (FILE).
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_file))
         (tmp_path / "dir").mkdir()
         out = tmp_path / "out.json"
-        places = {"FILE": f"file:{path}", "CONFIG": str(path), "DIR": str(tmp_path / "dir"),
+        places = {"FILE": f"file:{path}", "DIR": str(tmp_path / "dir"),
                   "MISSING/a.json": str(tmp_path / "missing" / "a.json")}
         argv = [places.get(a, a) for a in argv]
         if "--out" not in argv:
@@ -654,29 +630,15 @@ class TestRejectedInputs:
         "argv",
         [["isometry", "--dim", "4", "--out", ""],
          FLOW + ["--t-max", "1", "--dt", "0.5", "--out", ""],
-         ["check-all", "--dim", "4", "--out", ""],
-         ["isometry", "--dim", "4", "--config", "CONFIG"]],
-        ids=["isometry", "flow", "check-all", "from-config"],
+         ["check-all", "--dim", "4", "--out", ""]],
+        ids=["isometry", "flow", "check-all"],
     )
     def test_empty_out_path_rejected(self, tmp_path, monkeypatch, capsys, argv):
         # An empty path used to fall back to ./<command>.<ext>, or to no file for check-all.
         monkeypatch.chdir(tmp_path)
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"out_path": ""}))
-        assert main([str(config) if a == "CONFIG" else a for a in argv]) == 2
-        assert capsys.readouterr() == ("", "config error: out_path must not be empty\n")
-        assert os.listdir(tmp_path) == ["c.json"]
-
-    def test_csv_format_from_a_config_rejected(self, tmp_path, capsys):
-        # The JSON-only commands used to write their JSON report into the .csv file.
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"format": "csv"}))
-        argv = ["isometry", "--dim", "8", "--config", str(config), "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "config error: format 'csv' is for flow, geodesic and lp; isometry writes JSON\n"
-        )
-        assert os.listdir(tmp_path) == ["c.json"]
+        assert capsys.readouterr() == ("", "config error: out_path must not be empty\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--t-max", "1", "--dt", "0.1"],
@@ -708,24 +670,20 @@ class TestRejectedInputs:
         ["integrability", "--dim", "4", "--c", "uniform"],
         ["check-all", "--dim", "4"],
     ])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch, command, source):
+    @pytest.mark.parametrize("source", ["flag", "run"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, source):
+        # The one schema rejects it, from the command line or from a caller of run().
         out = tmp_path / "out.json"
         argv = command + ["--out", str(out)]
         if source == "flag":
-            argv += ["--seed", "-1"]
+            code = main(argv + ["--seed", "-1"])
         else:
-            monkeypatch.setenv("SIMPLEXGEO_SEED", "-4")
-        assert main(argv) == 2
+            cfg = config_from_args(argv)
+            cfg.seed = -4
+            code = run(cfg)
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "seed must be >= 0" in err
-        assert not out.exists()
-
-    def test_non_integer_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SIMPLEXGEO_SEED", "abc")
-        out = tmp_path / "out.json"
-        assert main(["isometry", "--dim", "4", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "config error: SIMPLEXGEO_SEED='abc' is not an integer\n"
         assert not out.exists()
 
     def test_library_error_inside_a_body_exits_1(self, tmp_path, capsys):

@@ -19,6 +19,9 @@ and a field that every call passes should be required (``init=False`` and
 ``InitVar`` fields are skipped).  No package statement calls a class the
 package defines and discards the result: an object built only for the
 error its constructor raises is a check the rule's own function makes.
+No package statement reads the environment or the wall clock (``os.environ``,
+``os.getenv``, ``time.time``, ``datetime.now`` and the like, as an attribute
+or a ``from`` import), so the command line alone decides a run.
 ``__init__.py`` imports modules without using them, so it has its own
 rule: each public name has one import path, its home module.  A constant
 that ``README.md`` quotes in backticks as ``[simplexgeo.]module.NAME =
@@ -220,6 +223,27 @@ def discarded_constructions(sources: list[str]) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and _callee(node.value) in classes
     ]
+
+
+#: Reads of the environment and the wall clock, as ``owner.name``.
+_HIDDEN_INPUTS = {
+    "os.environ", "os.environb", "os.getenv",
+    "time.time", "time.time_ns",
+    "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
+}
+
+
+def hidden_inputs(source: str) -> list[str]:
+    """Each ``owner.name`` of ``_HIDDEN_INPUTS`` that the source reads as an attribute
+    (``os.environ``, ``dt.datetime.now``) or imports (``from os import getenv``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute)):
+            owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+            found.append(f"{owner}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [f"{node.module.split('.')[-1]}.{alias.name}" for alias in node.names]
+    return sorted(name for name in found if name in _HIDDEN_INPUTS)
 
 
 def unused_conftest_functions(conftest: str, tests: list[str]) -> list[str]:
@@ -455,6 +479,17 @@ def test_checker_flags_an_unused_conftest_function():
     assert unused_conftest_functions(conftest, []) == ["derived", "helper", "orphan", "unused"]
 
 
+def test_checker_flags_an_environment_or_clock_read():
+    source = (
+        "import datetime as dt\nimport os\nimport time\nfrom os import getenv, path\n\n"
+        "def f(stamp):\n    seed = os.environ.get('SEED')\n    now = dt.datetime.now()\n"
+        "    day = dt.date.today()\n    ns = time.time_ns()\n"
+        "    return time.perf_counter(), os.path.join('a'), stamp.time, stamp.today\n"
+    )
+    assert hidden_inputs(source) == ["date.today", "datetime.now", "os.environ", "os.getenv", "time.time_ns"]
+    assert hidden_inputs("from time import time\nfrom datetime import datetime\n") == ["time.time"]
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -498,6 +533,11 @@ def test_every_dataclass_default_is_used_by_a_caller_besides_unit_tests():
 def test_no_class_is_built_only_to_raise():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert discarded_constructions(sources) == []
+
+
+def test_no_package_statement_reads_the_environment_or_the_clock():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert [name for source in sources for name in hidden_inputs(source)] == []
 
 
 def test_readme_quotes_every_constant_at_its_value():

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from simplexgeo.errors import DimensionMismatch, NonFiniteInput, NotNormalizable
-from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field
+from simplexgeo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NotNormalizable
+from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field, solve_lp
 from simplexgeo.hamiltonian import ComplexPoint, QuadraticHamiltonian, hamiltonian_flow
 from simplexgeo.sequence_core import SequenceSpec, SimplexPoint, random_simplex_point
 
@@ -36,6 +36,8 @@ REJECTING_RNG = SimpleNamespace(gamma=_one_small_coordinate)
          "objective dim 2, point dim 3"),
         (lambda: flow_closed_form(PAIR, THIRDS, 1.0), DimensionMismatch,
          "objective dim 2, point dim 3"),
+        (lambda: solve_lp(PAIR, SimplexPoint(np.full(2, 0.5)), math.nan), InvalidParameter,
+         "tol must be positive, got nan"),
         (lambda: ComplexPoint(np.array([])), DimensionMismatch,
          "coords must be a nonempty one-dimensional vector"),
         (lambda: ComplexPoint(np.array([[1.0, 0.0]])), DimensionMismatch,
@@ -47,7 +49,7 @@ REJECTING_RNG = SimpleNamespace(gamma=_one_small_coordinate)
         (lambda: random_simplex_point(REJECTING_RNG, 60_000), NotNormalizable,
          "1000 draws at dim 60000 all had a coordinate at or below 0.01 / dim"),
     ],
-    ids=["objective-one-coefficient", "gradient-field-dim", "closed-form-dim",
+    ids=["objective-one-coefficient", "gradient-field-dim", "closed-form-dim", "lp-tol-nan",
          "complex-point-empty", "complex-point-2d", "hamiltonian-flow-inf", "explicit-no-coords",
          "simplex-draw-limit"],
 )
