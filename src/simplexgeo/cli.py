@@ -10,8 +10,10 @@ Commands
     check-all      every module's invariant suite
 
 A run validates its configuration, builds every given spec flag and the
-time grid (:func:`_inputs`), runs the command body and writes one file
-(:func:`_emit`).
+time grid (:func:`_inputs`) and runs the command body, which returns its
+report; :func:`run` then writes the one file (:func:`_emit`) and prints
+the status line, whose pass/FAIL word and exit status come from the
+report's ``pass``.  Each command's facts are one record in ``_COMMANDS``.
 Exit status: 0 pass, 1 failure inside a body, 2 any input rejected by the
 configuration schema or the data model.
 
@@ -75,6 +77,9 @@ FLOW_MIN_INCREMENT = -1e-12
 GEODESIC_RESIDUAL_TOL = 1e-5
 #: Largest relative error of the fitted ``lp`` rate against the gap c_0 - c_1.
 LP_RATE_TOL = 0.05
+#: The values ``--method`` and ``--format`` accept.
+_METHODS = ("closed", "rk4")
+_FORMATS = ("csv", "json")
 
 
 def _type_ok(value, hint) -> bool:
@@ -109,17 +114,19 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _type_ok(value, hints[f.name]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        missing = [f for f in _COMMANDS[self.command][1] if getattr(self, f) is None]
+        command = _COMMANDS[self.command]
+        missing = [f for f in command.required if getattr(self, f) is None]
         if missing:
             raise ConfigError(
                 f"command {self.command!r} is missing required fields: {', '.join(missing)}"
             )
-        if self.method not in ("closed", "rk4"):
-            raise ConfigError(f"method must be 'closed' or 'rk4', got {self.method!r}")
-        if self.format not in (None, "csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.format == "csv" and self.command not in ("flow", "geodesic", "lp"):
-            raise ConfigError(f"format 'csv' is for flow, geodesic and lp; {self.command} writes JSON")
+        for name, value, choices in (("method", self.method, _METHODS), ("format", self.format, _FORMATS)):
+            if value not in (None, *choices):
+                raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
+        if self.format == "csv" and not command.csv:
+            *others, last = [name for name, c in _COMMANDS.items() if c.csv]
+            names = f"{', '.join(others)} and {last}"
+            raise ConfigError(f"format 'csv' is for {names}; {self.command} writes JSON")
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.seed < 0:
@@ -247,7 +254,7 @@ class _RowLists(list):
         return (row.tolist() for row in self.block)
 
 
-def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
+def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None) -> str:
     """Stream the output to ``--out`` or ``<command>.<ext>`` and return its path:
     CSV for a trajectory unless ``--format json``, JSON for everything else.
 
@@ -279,8 +286,12 @@ def _emit(cfg: RunConfig, report: dict, traj: Trajectory | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# input step and command bodies; each body returns (key metric string, passed)
+# input step and command bodies
 # ---------------------------------------------------------------------------
+
+#: What a body returns: its report, the trajectory to write in its place or
+#: None, and the key metrics of the status line.
+_Result = tuple[dict, Trajectory | None, str]
 
 
 def _inputs(
@@ -308,65 +319,58 @@ def _inputs(
 
 def _cmd_flow(
     cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, _geo, times: np.ndarray
-) -> tuple[str, bool]:
+) -> _Result:
     closed = cfg.method == "closed"
     traj = flow_trajectory(obj, p0, times) if closed else integrate_rk4(obj, p0, cfg.t_max, cfg.dt)
     with np.errstate(over="ignore"):  # an increment beyond the float range is refused by _emit
         drops = float(np.diff(traj.objective).min()) if len(traj) > 1 else 0.0
-    passed = drops >= FLOW_MIN_INCREMENT
     report = {
         "command": "flow",
         "method": cfg.method,
         "final_objective": float(traj.objective[-1]),
         "objective_min_increment": drops,
         "rows": len(traj),
-        "pass": passed,
+        "pass": drops >= FLOW_MIN_INCREMENT,
     }
-    out = _emit(cfg, report, traj)
-    return f"final_objective={traj.objective[-1]:.6g} out={out}", passed
+    return report, traj, f"final_objective={traj.objective[-1]:.6g}"
 
 
 def _cmd_geodesic(
     cfg: RunConfig, obj: LinearObjective | None, _p0, geo: EGeodesic, times: np.ndarray
-) -> tuple[str, bool]:
+) -> _Result:
     rows, residuals = e_geodesic_residual_rows(geo, times)
     traj = Trajectory(times, rows, obj, residuals)
     worst = float(residuals.max())
-    passed = worst <= GEODESIC_RESIDUAL_TOL
     report = {
         "command": "geodesic",
         "max_residual_l1": worst,
         "rows": len(traj),
-        "pass": passed,
+        "pass": worst <= GEODESIC_RESIDUAL_TOL,
     }
-    out = _emit(cfg, report, traj)
-    return f"max_residual_l1={worst:.3e} out={out}", passed
+    return report, traj, f"max_residual_l1={worst:.3e}"
 
 
-def _cmd_lp(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> tuple[str, bool]:
+def _cmd_lp(cfg: RunConfig, obj: LinearObjective, p0: SimplexPoint, *_) -> _Result:
     limit, report = solve_lp(obj, p0, cfg.tol)
     rate_ok = report.rate_rel_err is None or report.rate_rel_err <= LP_RATE_TOL
-    passed = report.converged and report.advisory is None and rate_ok
     payload = report.to_dict()
     payload["command"] = "lp"
     payload["limit"] = [float(x) for x in limit.coords]
     payload["objective_at_limit"] = objective_value(obj, limit)
-    payload["pass"] = passed
+    payload["pass"] = report.converged and report.advisory is None and rate_ok
     probes = None
     if cfg.format == "csv":
         times, distances = np.array(report.probes).T
         rows = softmax_rows(p0, obj.c, times)
         probes = Trajectory(times, rows, obj, distances)
-    out = _emit(cfg, payload, probes)
     rate = "none" if report.rate is None else f"{report.rate:.4g}"
-    return f"converged={report.converged} rate={rate} out={out}", passed
+    return payload, probes, f"converged={report.converged} rate={rate}"
 
 
-def _cmd_isometry(cfg: RunConfig, *_) -> tuple[str, bool]:
+def _cmd_isometry(cfg: RunConfig, *_) -> _Result:
     rng = np.random.default_rng(cfg.seed)
     # The round trip is reported by check-all only; it is not part of this verdict.
     _, iso, scaled = checks.isometry_results(rng, cfg.dim, (cfg.q,), 50)
-    passed = iso.passed and scaled.passed
     report = {
         "command": "isometry",
         "dim": cfg.dim,
@@ -374,20 +378,18 @@ def _cmd_isometry(cfg: RunConfig, *_) -> tuple[str, bool]:
         "isometry_rel_residual": iso.value,
         "q_identity_rel_residual": scaled.value,
         "seed": cfg.seed,
-        "pass": passed,
+        "pass": iso.passed and scaled.passed,
     }
-    out = _emit(cfg, report)
-    return f"isometry_residual={iso.value:.3e} q_residual={scaled.value:.3e} out={out}", passed
+    return report, None, f"isometry_residual={iso.value:.3e} q_residual={scaled.value:.3e}"
 
 
-def _cmd_bracket(cfg: RunConfig, *_) -> tuple[str, bool]:
+def _cmd_bracket(cfg: RunConfig, *_) -> _Result:
     rng = np.random.default_rng(cfg.seed)
     z = random_complex_point(rng, cfg.dim)
     canonical = poisson_bracket(*coordinate_jets(z, 0))
     c = rng.uniform(0.5, 3.0, size=cfg.dim)
     modes = [coordinate_hamiltonian(c, k) for k in range(cfg.dim)]
     analytic_max, numeric_max = bracket_max(modes, z)
-    passed = brackets_vanish(analytic_max, numeric_max) and abs(canonical - 1.0) <= CANONICAL_TOL
     report = {
         "command": "bracket",
         "dim": cfg.dim,
@@ -395,26 +397,21 @@ def _cmd_bracket(cfg: RunConfig, *_) -> tuple[str, bool]:
         "analytic_max_abs": analytic_max,
         "numeric_max_abs": numeric_max,
         "seed": cfg.seed,
-        "pass": passed,
+        "pass": brackets_vanish(analytic_max, numeric_max) and abs(canonical - 1.0) <= CANONICAL_TOL,
     }
-    out = _emit(cfg, report)
-    return f"canonical={canonical:.12g} numeric_max={numeric_max:.3e} out={out}", passed
+    return report, None, f"canonical={canonical:.12g} numeric_max={numeric_max:.3e}"
 
 
-def _cmd_integrability(cfg: RunConfig, obj: LinearObjective, *_) -> tuple[str, bool]:
+def _cmd_integrability(cfg: RunConfig, obj: LinearObjective, *_) -> _Result:
     report = integrability_suite(obj.c, trials=10, seed=cfg.seed)
-    out = _emit(cfg, report)
-    return (
-        f"brackets_max_abs={report['brackets_max_abs']:.3e} "
-        f"gram_det={report['gram_det']:.3e} out={out}"
-    ), bool(report["pass"])
+    metric = f"brackets_max_abs={report['brackets_max_abs']:.3e} gram_det={report['gram_det']:.3e}"
+    return report, None, metric
 
 
-def _cmd_check_all(cfg: RunConfig, *_) -> tuple[str, bool]:
+def _cmd_check_all(cfg: RunConfig, *_) -> _Result:
     results = checks.check_all(cfg.dim, cfg.seed)
     for res in results:
         print(res.line())
-    passed = all(r.passed for r in results)
     report = {
         "command": "check-all",
         "dim": cfg.dim,
@@ -423,23 +420,29 @@ def _cmd_check_all(cfg: RunConfig, *_) -> tuple[str, bool]:
             {"name": r.name, "value": r.value, "threshold": r.threshold, "pass": r.passed}
             for r in results
         ],
-        "pass": passed,
+        "pass": all(r.passed for r in results),
     }
-    if cfg.out_path:
-        _emit(cfg, report)
-    n_fail = sum(not r.passed for r in results)
-    return f"checks={len(results)} failures={n_fail}", passed
+    return report, None, f"checks={len(results)} failures={sum(not r.passed for r in results)}"
 
 
-#: Command name -> (body, fields the command requires).
+class _Command(typing.NamedTuple):
+    """One command's facts: its body, the fields it requires, whether ``--format csv`` is
+    open to it, and whether it writes ``<command>.<ext>`` without ``--out`` and names it."""
+
+    body: typing.Callable[..., _Result]
+    required: tuple[str, ...]
+    csv: bool = False
+    names_file: bool = True
+
+
 _COMMANDS = {
-    "flow": (_cmd_flow, ("dim", "c_spec", "p0_spec", "t_max", "dt")),
-    "geodesic": (_cmd_geodesic, ("dim", "p0_spec", "v0_spec", "t_max", "dt")),
-    "lp": (_cmd_lp, ("dim", "c_spec", "p0_spec", "tol")),
-    "isometry": (_cmd_isometry, ("dim",)),
-    "bracket": (_cmd_bracket, ("dim",)),
-    "integrability": (_cmd_integrability, ("dim", "c_spec")),
-    "check-all": (_cmd_check_all, ("dim",)),
+    "flow": _Command(_cmd_flow, ("dim", "c_spec", "p0_spec", "t_max", "dt"), csv=True),
+    "geodesic": _Command(_cmd_geodesic, ("dim", "p0_spec", "v0_spec", "t_max", "dt"), csv=True),
+    "lp": _Command(_cmd_lp, ("dim", "c_spec", "p0_spec", "tol"), csv=True),
+    "isometry": _Command(_cmd_isometry, ("dim",)),
+    "bracket": _Command(_cmd_bracket, ("dim",)),
+    "integrability": _Command(_cmd_integrability, ("dim", "c_spec")),
+    "check-all": _Command(_cmd_check_all, ("dim",), names_file=False),
 }
 
 
@@ -462,16 +465,20 @@ def run(cfg: RunConfig) -> int:
     except SimplexGeoError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    command = _COMMANDS[cfg.command]
     try:
-        metric, passed = _COMMANDS[cfg.command][0](cfg, *inputs)
+        report, traj, metric = command.body(cfg, *inputs)
+        if cfg.out_path or command.names_file:
+            out = _emit(cfg, report, traj)
+            metric += f" out={out}" if command.names_file else ""
     except SimplexGeoError as exc:
         print(f"{cfg.command} dim={cfg.dim} error in {_blame(exc)}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"{cfg.command} dim={cfg.dim} output error: {exc}", file=sys.stderr)
         return 1
-    status = "pass" if passed else "FAIL"
-    print(f"{cfg.command} dim={cfg.dim} {metric} {status}")
+    passed = bool(report["pass"])
+    print(f"{cfg.command} dim={cfg.dim} {metric} {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 
@@ -491,10 +498,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t-max", dest="t_max", type=float)
     common.add_argument("--dt", type=float)
     common.add_argument("--tol", type=float)
-    common.add_argument("--method", choices=("closed", "rk4"))
+    common.add_argument("--method", choices=_METHODS)
     common.add_argument("--seed", type=int)
     common.add_argument("--out", dest="out_path")
-    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--format", choices=_FORMATS)
     # Accepted so that existing command lines keep working.
     common.add_argument("--no-timestamp", action="store_true", help="ignored; no output has a timestamp")
     parser = argparse.ArgumentParser(

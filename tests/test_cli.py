@@ -251,11 +251,58 @@ class TestOtherCommands:
             "brackets_max_abs", "conservation_max_drift", "gram_det", "pass", "seed",
         }
 
-    def test_check_all(self, capsys):
+    def test_check_all(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         code = main(["check-all", "--dim", "16", "--seed", "7"])
         assert code == 0
         out = capsys.readouterr().out
         assert "[pass]" in out and "FAIL" not in out
+        assert os.listdir(tmp_path) == []
+
+
+#: A passing run of each command, and the file it writes when no --out is given.
+PASSING_RUNS = {
+    "flow": (["--dim", "4", "--c", "geometric:0.5", "--p0", "uniform", "--t-max", "1",
+              "--dt", "0.5"], "flow.csv"),
+    "geodesic": (["--dim", "3", "--p0", "uniform", "--v0", "explicit:0.2,-0.1,-0.1",
+                  "--t-max", "1", "--dt", "0.5"], "geodesic.csv"),
+    "lp": (["--dim", "4", "--c", "geometric:0.5", "--p0", "uniform", "--tol", "1e-6"], "lp.json"),
+    "isometry": (["--dim", "4"], "isometry.json"),
+    "bracket": (["--dim", "4"], "bracket.json"),
+    "integrability": (["--dim", "4", "--c", "geometric:0.5"], "integrability.json"),
+    "check-all": (["--dim", "4"], None),
+}
+
+
+class TestOutputFileAndStatusLine:
+    """Which file a run writes and how its status line names it, with and without --out."""
+
+    @pytest.mark.parametrize("command", PASSING_RUNS)
+    def test_without_out(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        args, name = PASSING_RUNS[command]
+        assert main([command, *args]) == 0
+        status = capsys.readouterr().out.splitlines()[-1]
+        assert status.startswith(f"{command} dim=")
+        if name is None:  # check-all writes a file only when --out names one
+            assert os.listdir(tmp_path) == []
+            assert status.endswith(" pass") and " out=" not in status
+        else:
+            assert os.listdir(tmp_path) == [name]
+            assert status.endswith(f" out={name} pass")
+
+    @pytest.mark.parametrize("command", PASSING_RUNS)
+    def test_with_out(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "result"
+        assert main([command, *PASSING_RUNS[command][0], "--out", str(out)]) == 0
+        status = capsys.readouterr().out.splitlines()[-1]
+        assert os.listdir(tmp_path) == ["result"]
+        if command == "check-all":
+            assert json.loads(out.read_text())["pass"] is True
+            assert status.endswith(" pass") and " out=" not in status
+        else:
+            assert status.endswith(f" out={out} pass")
 
 
 class TestDeterminism:
@@ -542,6 +589,7 @@ class TestRunConfigValidation:
 
 
 FLOW = ["flow", "--dim", "4", "--c", "uniform", "--p0", "uniform"]
+CSV_REFUSED = "config error: format 'csv' is for flow, geodesic and lp; {} writes JSON\n"
 
 
 class TestRejectedInputs:
@@ -581,11 +629,11 @@ class TestRejectedInputs:
             ({"kind": "uniform", "dim": 4, "coords": [5, 1, 1, 1]},
              ["integrability", "--dim", "4", "--c", "FILE"],
              "unknown key 'coords' in a uniform spec"),
-            (None, ["isometry", "--dim", "8", "--format", "csv"], "isometry writes JSON"),
-            (None, ["bracket", "--dim", "4", "--format", "csv"], "bracket writes JSON"),
+            (None, ["isometry", "--dim", "8", "--format", "csv"], CSV_REFUSED.format("isometry")),
+            (None, ["bracket", "--dim", "4", "--format", "csv"], CSV_REFUSED.format("bracket")),
             (None, ["integrability", "--dim", "4", "--c", "uniform", "--format", "csv"],
-             "integrability writes JSON"),
-            (None, ["check-all", "--dim", "4", "--format", "csv"], "check-all writes JSON"),
+             CSV_REFUSED.format("integrability")),
+            (None, ["check-all", "--dim", "4", "--format", "csv"], CSV_REFUSED.format("check-all")),
             ({"kind": "explicit", "dim": 3, "coords": [0.2, 0.3, 0.6], "normalize": "none"},
              ["lp", "--dim", "3", "--c", "explicit:1,0,-1", "--p0", "FILE", "--tol", "1e-6"],
              "explicit coords sum to 1.1; pass normalize='simplex' to rescale"),

@@ -28,6 +28,9 @@ that ``README.md`` quotes in backticks as ``[simplexgeo.]module.NAME =
 value`` must have that value in its module.  In ``tests/conftest.py`` every
 module-level function needs a user in ``tests/``: a fixture some function
 takes as a parameter, any other function a name that some other statement reads.
+The commands that ``cli.py``'s docstring and README's CLI example block name
+are the keys of ``cli._COMMANDS``, and the commands that README's "Only ...
+write CSV" sentence names are those the table opens ``--format csv`` to.
 
 The package's size is quoted in one unit, counted by :func:`code_lines`
 with ``tokenize``: lines holding a token other than a comment, minus the
@@ -331,6 +334,25 @@ def stale_quoted_constants(text: str, modules: dict[str, str]) -> list[str]:
     return stale
 
 
+def stale_command_names(docstring: str, readme: str, commands, csv_commands) -> list[str]:
+    """``<place>: missing|unknown <command>`` for each name where the ``Commands``
+    block of ``docstring`` or the example block of README's CLI section differs
+    from ``commands``, or README's "Only ... write CSV" sentence from ``csv_commands``."""
+    doc_block = docstring.split("Commands\n", 1)[-1].split("\n\n", 1)[0]
+    cli_block = readme.split("## CLI\n", 1)[-1].split("```sh\n", 1)[-1].split("```", 1)[0]
+    sentence = re.search(r"Only (.*?) write CSV", " ".join(readme.split()))
+    named = {
+        "cli.py docstring": ([line.split()[0] for line in doc_block.splitlines() if line.strip()], commands),
+        "README CLI block": (re.findall(r"^simplexgeo ([\w-]+)", cli_block, re.M), commands),
+        "README CSV sentence": (re.findall(r"`([\w-]+)`", sentence[1]) if sentence else [], csv_commands),
+    }
+    return sorted(
+        f"{place}: {'missing' if name in table else 'unknown'} {name}"
+        for place, (found, table) in named.items()
+        for name in set(found) ^ set(table)
+    )
+
+
 #: Token types that hold no code: comments, line ends and indentation.
 _LAYOUT_TOKENS = {
     tokenize.COMMENT,
@@ -490,6 +512,21 @@ def test_checker_flags_an_environment_or_clock_read():
     assert hidden_inputs("from time import time\nfrom datetime import datetime\n") == ["time.time"]
 
 
+def test_checker_flags_a_command_the_docs_miss():
+    docstring = "Tool.\n\nCommands\n    run    do it\n    stop   halt\n\nExit status 0.\n"
+    readme = (
+        "## CLI\n\n```sh\nsimplexgeo run --dim 4 \\\n    --out a.csv\nsimplexgeo stop\n```\n\n"
+        "Only `run` and\n`stop` write CSV; `--format csv` on `go` is rejected.\n"
+    )
+    assert stale_command_names(docstring, readme, ["run", "stop"], ["run", "stop"]) == []
+    assert stale_command_names(docstring, readme, ["run", "stop", "go"], ["run"]) == [
+        "README CLI block: missing go", "README CSV sentence: unknown stop", "cli.py docstring: missing go",
+    ]
+    assert stale_command_names("", "", ["run"], ["run"]) == [
+        "README CLI block: missing run", "README CSV sentence: missing run", "cli.py docstring: missing run",
+    ]
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -546,6 +583,16 @@ def test_readme_quotes_every_constant_at_its_value():
     quoted = {name for _, name, _ in _QUOTED_CONSTANT.findall(readme)}
     assert {"_SOFTMAX_BLOCK", "_LENGTH_BLOCK", "_STACK_BLOCK", "FIELD_STEP"} <= quoted
     assert stale_quoted_constants(readme, modules) == []
+
+
+def test_docs_name_every_command_of_the_table():
+    from simplexgeo import cli
+
+    commands = list(cli._COMMANDS)
+    csv_commands = [name for name, command in cli._COMMANDS.items() if command.csv]
+    assert csv_commands  # the sentence's rule is not vacuous
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert stale_command_names(cli.__doc__, readme, commands, csv_commands) == []
 
 
 def test_every_conftest_function_is_used_by_a_test():

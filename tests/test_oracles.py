@@ -25,9 +25,9 @@ from simplexgeo.hamiltonian import (
     momentum_torus,
     wirtinger,
 )
-from simplexgeo.metrics import fr_distance
-from simplexgeo.sequence_core import SimplexPoint, lq_norm, softmax_rows
-from simplexgeo.transforms import forward
+from simplexgeo.metrics import fr_distance, fr_inner
+from simplexgeo.sequence_core import SimplexPoint, TangentVector, lq_norm, softmax_rows
+from simplexgeo.transforms import forward, pushforward
 
 DIGITS = 50
 EXACT = decimal.Context(prec=DIGITS)
@@ -58,6 +58,14 @@ def simplex_point(rng: np.random.Generator, n: int, decades: float) -> SimplexPo
     """A point of the open simplex with coordinates over up to ``decades`` decades."""
     g = spread_magnitudes(rng, n, decades)
     return SimplexPoint(g / g.sum())
+
+
+def tangent(rng: np.random.Generator, p: SimplexPoint, decades: float) -> TangentVector:
+    """A tangent at p with components of both signs over up to ``decades`` decades;
+    the first component takes up the sum, so the rest keep their spread."""
+    v = spread_magnitudes(rng, p.dim, decades) * rng.choice([-1.0, 1.0], p.dim)
+    v[0] -= v.sum()
+    return TangentVector(p, v)
 
 
 draws = {
@@ -198,6 +206,47 @@ def test_forward_against_exact(n, q, seed, decades):
             exact = Decimal(float(pn)) ** (1 / Decimal(q))
         condition = 1.0 + math.log(1.0 / pn) / q
         assert_within(got, exact, exact, FORWARD_ULPS * condition)
+
+
+#: (1/q) v_n p_n^(1/q - 1) per coordinate: the rounded 1/q (half an eps),
+#: pow (1 eps) and the two products (half an eps each) give 2.5 eps; the
+#: rounded exponent 1/q - 1 is within 1 eps of exact (half an eps from 1/q,
+#: half from the subtraction when 1/q < 1/2) and moves the power by
+#: ln(1/p_n) eps, the power's condition number in its exponent.
+#: Elementwise, so N = 1: 3 (1 + ln(1/p_n)) eps of each exact component.
+PUSHFORWARD_ULPS = 3
+
+
+@given(n=st.integers(2, 64), q=st.floats(1.01, 16.0), **draws)
+def test_pushforward_against_exact(n, q, seed, decades):
+    rng = np.random.default_rng(seed)
+    p = simplex_point(rng, n, decades)
+    v = tangent(rng, p, decades)
+    for got, vn, pn in zip(pushforward(v, q).comps, v.comps, p.coords):
+        with decimal.localcontext(EXACT):
+            exact = Decimal(float(vn)) * Decimal(float(pn)) ** (1 / Decimal(q) - 1) / Decimal(q)
+        condition = 1.0 + math.log(1.0 / pn)
+        assert_within(got, exact, abs(exact), PUSHFORWARD_ULPS * condition)
+
+
+#: (1/4) sum v_n w_n / p_n: the product and the quotient (half an eps each)
+#: and the N-term sum ((N - 1)/2 eps of the magnitude sum; the quarter is
+#: exact) give (N + 1)/2 <= N eps of the magnitude sum (1/4) sum |v_n w_n / p_n|.
+FR_INNER_ULPS = 1
+
+
+@given(n=st.integers(2, 64), **draws)
+def test_fr_inner_against_exact(n, seed, decades):
+    rng = np.random.default_rng(seed)
+    p = simplex_point(rng, n, decades)
+    v, w = tangent(rng, p, decades), tangent(rng, p, decades)
+    with decimal.localcontext(EXACT):
+        terms = [
+            Decimal(float(a)) * Decimal(float(b)) / Decimal(float(c))
+            for a, b, c in zip(v.comps, w.comps, p.coords)
+        ]
+        exact, scale = sum(terms) / 4, sum(abs(t) for t in terms) / 4
+    assert_within(fr_inner(v, w), exact, scale, FR_INNER_ULPS * n)
 
 
 # ---------------------------------------------------------------------------
