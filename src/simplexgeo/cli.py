@@ -13,7 +13,9 @@ A run validates its configuration, builds every given spec flag and the
 time grid (:func:`_inputs`) and runs the command body, which returns its
 report; :func:`run` then writes the one file (:func:`_emit`) and prints
 the status line, whose pass/FAIL word and exit status come from the
-report's ``pass``.  Each command's facts are one record in ``_COMMANDS``.
+report's ``pass``.  Each command's facts are one record in ``_COMMANDS``,
+and each option is one :class:`RunConfig` field, which declares its flag,
+its type and its choices.
 Exit status: 0 pass, 1 failure inside a body, 2 any input rejected by the
 configuration schema or the data model.
 
@@ -36,7 +38,7 @@ import sys
 import tempfile
 import traceback
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,9 +79,6 @@ FLOW_MIN_INCREMENT = -1e-12
 GEODESIC_RESIDUAL_TOL = 1e-5
 #: Largest relative error of the fitted ``lp`` rate against the gap c_0 - c_1.
 LP_RATE_TOL = 0.05
-#: The values ``--method`` and ``--format`` accept.
-_METHODS = ("closed", "rk4")
-_FORMATS = ("csv", "json")
 
 
 def _type_ok(value, hint) -> bool:
@@ -90,21 +89,26 @@ def _type_ok(value, hint) -> bool:
     return isinstance(value, allowed) or (float in allowed and isinstance(value, int))
 
 
+def _option(flag: str, default=None, choices: tuple[str, ...] | None = None):
+    """A :class:`RunConfig` field set on the command line by ``flag``, to one of ``choices`` if given."""
+    return field(default=default, metadata={"flag": flag, "choices": choices})
+
+
 @dataclass
 class RunConfig:
     command: str
-    dim: int | None = None
-    c_spec: str | None = None
-    p0_spec: str | None = None
-    v0_spec: str | None = None
-    q: float = 2.0
-    t_max: float | None = None
-    dt: float | None = None
-    tol: float | None = None
-    method: str = "closed"
-    seed: int = 0
-    out_path: str | None = None
-    format: str | None = None
+    dim: int | None = _option("--dim")
+    c_spec: str | None = _option("--c")
+    p0_spec: str | None = _option("--p0")
+    v0_spec: str | None = _option("--v0")
+    q: float = _option("--q", 2.0)
+    t_max: float | None = _option("--t-max")
+    dt: float | None = _option("--dt")
+    tol: float | None = _option("--tol")
+    method: str = _option("--method", "closed", ("closed", "rk4"))
+    seed: int = _option("--seed", 0)
+    out_path: str | None = _option("--out")
+    format: str | None = _option("--format", choices=("csv", "json"))
 
     def validate(self) -> None:
         if self.command not in _COMMANDS:
@@ -120,9 +124,10 @@ class RunConfig:
             raise ConfigError(
                 f"command {self.command!r} is missing required fields: {', '.join(missing)}"
             )
-        for name, value, choices in (("method", self.method, _METHODS), ("format", self.format, _FORMATS)):
-            if value not in (None, *choices):
-                raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
+        for f in fields(self):
+            choices, value = f.metadata.get("choices"), getattr(self, f.name)
+            if choices and value not in (None, *choices):
+                raise ConfigError(f"{f.name} must be {' or '.join(map(repr, choices))}, got {value!r}")
         if self.format == "csv" and not command.csv:
             *others, last = [name for name, c in _COMMANDS.items() if c.csv]
             names = f"{', '.join(others)} and {last}"
@@ -488,20 +493,14 @@ def run(cfg: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # Every command takes the same options, declared once on a parent parser.
+    # Every command takes the same options: one per RunConfig field with a flag, typed by its
+    # annotation (int for ``int | None``), declared once on a parent parser.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dim", type=int)
-    common.add_argument("--c", dest="c_spec")
-    common.add_argument("--p0", dest="p0_spec")
-    common.add_argument("--v0", dest="v0_spec")
-    common.add_argument("--q", type=float)
-    common.add_argument("--t-max", dest="t_max", type=float)
-    common.add_argument("--dt", type=float)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--method", choices=_METHODS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", dest="out_path")
-    common.add_argument("--format", choices=_FORMATS)
+    hints = typing.get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        if "flag" in f.metadata:
+            kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+            common.add_argument(f.metadata["flag"], dest=f.name, type=kind, choices=f.metadata["choices"])
     # Accepted so that existing command lines keep working.
     common.add_argument("--no-timestamp", action="store_true", help="ignored; no output has a timestamp")
     parser = argparse.ArgumentParser(

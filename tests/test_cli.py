@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simplexgeo.cli import (
+    _COMMANDS,
     RunConfig,
     _build_parser,
     _emit,
@@ -509,6 +512,18 @@ options:
 """
 
 
+def command_help(command):
+    """``FLOW_HELP`` for ``command``: its usage line wrapped as argparse wraps it at ``COLUMNS=80``."""
+    usage, rest = FLOW_HELP.split("\n\n", 1)
+    prefix = f"usage: simplexgeo {command} "
+    # \0 holds each bracketed group together, so textwrap breaks only between groups.
+    groups = " ".join(group.replace(" ", "\0") for group in re.findall(r"\[[^]]*\]", usage))
+    lines = textwrap.wrap(
+        groups, 78, initial_indent=prefix, subsequent_indent=" " * len(prefix), break_on_hyphens=False
+    )
+    return "\n".join(lines).replace("\0", " ") + "\n\n" + rest
+
+
 class TestParser:
     COMMANDS = ["flow", "geodesic", "lp", "isometry", "bracket", "integrability", "check-all"]
 
@@ -524,13 +539,22 @@ class TestParser:
         assert unset.pop("command") == command and unset.pop("no_timestamp") is False
         assert set(unset.values()) == {None} and len(unset) == 12
 
-    @pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP), (["flow", "-h"], FLOW_HELP)])
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["--help"], TOP_HELP)] + [([command, "-h"], command_help(command)) for command in _COMMANDS],
+    )
     def test_help_text(self, capsys, monkeypatch, argv, text):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exit_info:
             _build_parser().parse_args(argv)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_omitted_options_keep_the_dataclass_defaults(self, command):
+        cfg = config_from_args([command])
+        assert cfg == RunConfig(command)
+        assert (cfg.q, cfg.method, cfg.seed) == (2.0, "closed", 0)
 
 
 class TestRunConfigValidation:

@@ -32,6 +32,7 @@ from simplexgeo.sequence_core import (
     make_tangent,
     random_simplex_point,
     random_tangent,
+    softmax_rows,
 )
 
 
@@ -119,6 +120,23 @@ class TestFlowClosedForm:
         p0 = random_simplex_point(rng, 8)
         traj = flow_trajectory(obj, p0, np.linspace(0.0, 5.0, 1000))
         assert np.diff(traj.objective).min() >= -1e-12
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    @pytest.mark.parametrize("decay", [0.5, 0.9])
+    def test_truncation_commutes_with_the_flow(self, ratio, dim, decay):
+        # Conditioning on the first N coordinates commutes with softmax, so the 2N-flow's
+        # head is (1 - tail_N) times the N-flow from the renormalised head, and the
+        # zero-padded N-flow lies exactly 2 tail_N(t) from the 2N-flow in l1.
+        p = make_simplex_point(SequenceSpec("geometric", 2 * dim, ratio=ratio))
+        head = p.coords[:dim]
+        c = decay ** np.arange(2 * dim, dtype=float)
+        times = np.linspace(0.0, 50.0, 201)
+        long = softmax_rows(p, c, times)
+        short = softmax_rows(SimplexPoint(head / head.sum()), c[:dim], times)
+        l1 = np.abs(np.pad(short, ((0, 0), (0, dim))) - long).sum(axis=1)
+        tail = long[:, dim:].sum(axis=1)
+        assert np.abs(l1 - 2.0 * tail).max() <= 2 * dim * np.finfo(float).eps
 
 
 class TestIntegrateRk4:

@@ -31,6 +31,8 @@ takes as a parameter, any other function a name that some other statement reads.
 The commands that ``cli.py``'s docstring and README's CLI example block name
 are the keys of ``cli._COMMANDS``, and the commands that README's "Only ...
 write CSV" sentence names are those the table opens ``--format csv`` to.
+The ``--flag`` tokens of README's CLI section are the parser's option strings
+other than ``-h``/``--help``.
 
 The package's size is quoted in one unit, counted by :func:`code_lines`
 with ``tokenize``: lines holding a token other than a comment, minus the
@@ -353,6 +355,13 @@ def stale_command_names(docstring: str, readme: str, commands, csv_commands) -> 
     )
 
 
+def stale_flags(readme: str, options) -> list[str]:
+    """``missing|unknown <flag>`` for each ``--flag`` where README's CLI section differs from ``options``."""
+    section = readme.split("## CLI\n", 1)[-1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    return sorted(f"{'missing' if flag in options else 'unknown'} {flag}" for flag in named ^ set(options))
+
+
 #: Token types that hold no code: comments, line ends and indentation.
 _LAYOUT_TOKENS = {
     tokenize.COMMENT,
@@ -527,6 +536,17 @@ def test_checker_flags_a_command_the_docs_miss():
     ]
 
 
+def test_checker_flags_a_flag_the_parser_lacks():
+    readme = (
+        "## CLI\n\n```sh\ntool run --dim 4 --out-dir x\n```\n\n`--seed` is optional; "
+        "--dry-run too.\n\n## Next\n\n`--elsewhere`\n"
+    )
+    options = ["--dim", "--out-dir", "--seed", "--dry-run"]
+    assert stale_flags(readme, options) == []
+    assert stale_flags(readme, ["--dim", "--seed", "--dry-run", "--q"]) == ["missing --q", "unknown --out-dir"]
+    assert stale_flags("", ["--dim"]) == ["missing --dim"]
+
+
 def test_namespace_rule_rejects_a_re_export():
     source = '"""Doc."""\n\nfrom . import flows\nfrom .flows import solve_lp\n\n__version__ = "0"\n'
     assert namespace_violations(source) == ["from .flows import solve_lp"]
@@ -593,6 +613,21 @@ def test_docs_name_every_command_of_the_table():
     assert csv_commands  # the sentence's rule is not vacuous
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert stale_command_names(cli.__doc__, readme, commands, csv_commands) == []
+
+
+def test_readme_names_every_option_of_the_parser():
+    from simplexgeo import cli
+
+    parser = cli._build_parser()
+    (commands,) = [action.choices for action in parser._actions if action.choices]
+    options = {
+        option
+        for command in commands.values()
+        for action in command._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    assert len(options) == 13
+    assert stale_flags((ROOT / "README.md").read_text(encoding="utf-8"), options) == []
 
 
 def test_every_conftest_function_is_used_by_a_test():
