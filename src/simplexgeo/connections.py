@@ -22,6 +22,7 @@ from .errors import (
     CurveDomain,
     LengthMismatch,
     LossyTruncation,
+    NonFiniteInput,
     StepUnderflow,
 )
 from .sequence_core import (
@@ -29,7 +30,6 @@ from .sequence_core import (
     TangentVector,
     _read_only,
     _require_finite,
-    _softmax_block,
     check_exponent,
     make_tangent,
     same_point,
@@ -195,16 +195,15 @@ def e_geodesic_residual_rows(geo: EGeodesic, times) -> tuple[np.ndarray, np.ndar
     Row i is bitwise ``geo(times[i]).coords`` and residual i is bitwise
     ``float(np.abs(e_connection_residual(geo, times[i])).sum())``: the six
     other curve points each residual reads (t +- h and both of those +- h,
-    by the same float additions) come from ``_softmax_block`` in blocks
-    of at most ``_SOFTMAX_BLOCK`` coordinates.  As in a loop that builds
-    every row before any residual, a failing row raises first; a block
-    with a failing point or a residual that is not finite is redone by
+    by the same float additions) come from :func:`softmax_rows`, one block
+    per chunk of times.  As in a loop that builds every row before any
+    residual, a failing row raises first; a chunk whose points raise
+    :class:`NonFiniteInput`, or whose residual is not finite, is redone by
     :func:`e_connection_residual` in time order, which raises its error.
     """
     times = np.asarray(times, dtype=float)
     rows = softmax_rows(geo.p0, geo.a, times)
     h = CURVE_STEP
-    log_p0 = np.log(geo.p0.coords)
     n = geo.p0.dim
     residuals = np.empty(times.size)
     step = max(1, sequence_core._SOFTMAX_BLOCK // (6 * n))
@@ -212,10 +211,11 @@ def e_geodesic_residual_rows(geo: EGeodesic, times) -> tuple[np.ndarray, np.ndar
         t = times[lo : lo + step]
         plus, minus = t + h, t - h
         shifted = np.concatenate((plus + h, plus - h, plus, minus + h, minus - h, minus))
-        block = _softmax_block(log_p0, geo.a, shifted)
-        out = None
-        if block is not None:
-            pp, pm, p, mp, mm, m = block.reshape(6, t.size, n)
+        try:
+            pp, pm, p, mp, mm, m = softmax_rows(geo.p0, geo.a, shifted).reshape(6, t.size, n)
+        except NonFiniteInput:
+            out = None
+        else:
             with np.errstate(over="ignore", invalid="ignore"):
                 ratio_plus = (pp - pm) / (2.0 * h) / p
                 ratio_minus = (mp - mm) / (2.0 * h) / m

@@ -448,51 +448,23 @@ def softmax_curve(p0: SimplexPoint, a: np.ndarray, t: float) -> SimplexPoint:
     return SimplexPoint(softmax_coords(s))
 
 
-def _softmax_block(log_p0: np.ndarray, a: np.ndarray, times: np.ndarray) -> np.ndarray | None:
-    """Rows softmax(log p0 + a t) for each t of the 1-D ``times``, each bitwise
-    :func:`softmax_curve`'s coordinates, or None if a log-weight is not finite.
-
-    The whole block is centred, exponentiated, divided and flushed to
-    ``TINY`` at once.  A row whose sum misses 1.0 then gets the scalar
-    loop's first trial: its residue goes to the smallest coordinate it
-    moves, which is the first such coordinate in sorted order when no
-    other coordinate ties with it.  A row that this does not land on
-    exactly 1.0, or whose candidate is tied, is redone by
-    :func:`softmax_coords`, the one home of the fix-up.  Every row then
-    passes :class:`SimplexPoint`'s rule, as the scalar path's rows do: its
-    coordinates are at least ``TINY``, and its sum starts a few ulps per
-    coordinate from 1 and only moves closer.  On None the caller replays
-    the scalar path, which raises the error of the first bad row.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = log_p0 + a * times[:, None]
-        if not np.isfinite(s).all():
-            return None
-        w = np.exp(s - s.max(axis=1, keepdims=True))  # centred as in softmax_coords
-    x = w / w.sum(axis=1, keepdims=True)
-    np.maximum(x, TINY, out=x)
-    miss = np.flatnonzero(x.sum(axis=1) != 1.0)
-    if miss.size:
-        xm = x[miss]
-        bumped = xm + (1.0 - xm.sum(axis=1))[:, None]
-        moves = np.where((bumped > 0.0) & (bumped != xm), xm, np.inf)
-        j = moves.argmin(axis=1)
-        r = np.arange(miss.size)
-        alone = (moves == moves[r, j][:, None]).sum(axis=1) == 1
-        xm[r, j] = bumped[r, j]
-        settled = alone & (xm.sum(axis=1) == 1.0)
-        x[miss[settled]] = xm[settled]
-        for i in miss[~settled]:
-            x[i] = softmax_coords(s[i])
-    return x
-
-
 def softmax_rows(p0: SimplexPoint, a: np.ndarray, times) -> np.ndarray:
     """The ``(T, N)`` rows of softmax(log p0 + a t), each bitwise ``softmax_curve(p0, a, t).coords``.
 
-    Computed by :func:`_softmax_block` in blocks of at most
-    ``_SOFTMAX_BLOCK`` coordinates.  A block with a failing row is redone
-    by :func:`softmax_curve` in time order, which raises that row's error.
+    The one block form of :func:`softmax_coords`.  Times go in blocks of
+    at most ``_SOFTMAX_BLOCK`` coordinates (whole rows, at least one); each
+    block is centred, exponentiated, divided and flushed to ``TINY`` at
+    once, in place in its rows of the result.  A row whose sum misses 1.0
+    then gets the scalar loop's first trial: its residue goes to the
+    smallest coordinate it moves, which is the first such coordinate in
+    sorted order when no other coordinate ties with it.  A row that this
+    does not land on exactly 1.0, or whose candidate is tied, is redone by
+    :func:`softmax_coords`, the one home of the full fix-up.  Every row
+    then passes :class:`SimplexPoint`'s rule, as the scalar path's rows
+    do: its coordinates are at least ``TINY``, and its sum starts a few
+    ulps per coordinate from 1 and only moves closer.  A block with a
+    log-weight that is not finite is redone by :func:`softmax_curve` in
+    time order, which raises the error of its first bad row.
     """
     times = np.asarray(times, dtype=float)
     log_p0 = np.log(p0.coords)
@@ -500,10 +472,31 @@ def softmax_rows(p0: SimplexPoint, a: np.ndarray, times) -> np.ndarray:
     step = max(1, _SOFTMAX_BLOCK // p0.dim)
     for lo in range(0, times.size, step):
         chunk = times[lo : lo + step]
-        block = _softmax_block(log_p0, a, chunk)
-        if block is None:
-            block = [softmax_curve(p0, a, t).coords for t in chunk]
-        rows[lo : lo + chunk.size] = block
+        x = rows[lo : lo + chunk.size]
+        # In place: a block-sized temporary kept alive into the next block costs a fresh allocation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(a, chunk[:, None], out=x)
+            x += log_p0
+            if not np.isfinite(x).all():
+                x[:] = [softmax_curve(p0, a, t).coords for t in chunk]
+                continue
+            x -= x.max(axis=1, keepdims=True)  # centred as in softmax_coords
+        np.exp(x, out=x)
+        x /= x.sum(axis=1, keepdims=True)
+        np.maximum(x, TINY, out=x)
+        miss = np.flatnonzero(x.sum(axis=1) != 1.0)
+        if miss.size:
+            xm = x[miss]
+            bumped = xm + (1.0 - xm.sum(axis=1))[:, None]
+            moves = np.where((bumped > 0.0) & (bumped != xm), xm, np.inf)
+            j = moves.argmin(axis=1)
+            r = np.arange(miss.size)
+            alone = (moves == moves[r, j][:, None]).sum(axis=1) == 1
+            xm[r, j] = bumped[r, j]
+            settled = alone & (xm.sum(axis=1) == 1.0)
+            x[miss[settled]] = xm[settled]
+            for i in miss[~settled]:
+                x[i] = softmax_coords(log_p0 + a * chunk[i])
     return rows
 
 

@@ -7,7 +7,10 @@ No linter is a dependency, so these are small ``ast`` checks.  A name
 counts as used when it appears anywhere in the module as a bare name
 (``np`` in ``np.zeros`` included).  A private name (``_x``) counts as read
 when some top-level statement of the package other than its own
-definition names it, imports it or reads it as an attribute.  A public
+definition names it, imports it or reads it as an attribute.  The private
+names one module reads from another (``from .x import _y`` or ``x._y``)
+are exactly ``_read_only``, ``_require_finite`` and ``_SOFTMAX_BLOCK``, so
+a kernel's helpers stay with their kernel.  A public
 name counts as read the same way, or when ``tests/test_acceptance.py`` names
 it.  A defaulted parameter of a public module-level function counts as
 passed when some call of that name in the package, in
@@ -108,6 +111,20 @@ def _unread(sources: list[str], wanted, readers: list[str] = ()) -> list[str]:
 def unread_private_names(sources: list[str]) -> list[str]:
     """Module-level ``_x`` names that no other top-level statement of the sources reads."""
     return _unread(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def foreign_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names (``_x``) that a module of ``sources`` (module name -> source) reads
+    from another: imported by ``from .home import _x`` or read as the attribute ``home._x``."""
+    found = set()
+    for module, source in sources.items():
+        others = set(sources) - {module}
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in others:
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in others:
+                found.add(node.attr)
+    return sorted(name for name in found if name.startswith("_") and not name.startswith("__"))
 
 
 def unread_public_names(sources: list[str], readers: list[str]) -> list[str]:
@@ -439,6 +456,16 @@ def test_checker_flags_an_unread_private_name():
     assert unread_private_names([home]) == ["_TABLE", "_helper", "_orphan"]
 
 
+def test_checker_flags_a_private_name_read_from_another_module():
+    home = "_BLOCK = 1\n\ndef _kernel():\n    return _BLOCK\n\ndef public():\n    return _kernel()\n"
+    user = (
+        "from . import home\nfrom .home import _kernel, public\nfrom simplexgeo.home import _BLOCK\n"
+        "import numpy as np\n\ndef f(obj):\n    return home._step, np._x, obj._cache, home.__doc__\n"
+    )
+    assert foreign_private_names({"home": home, "user": user}) == ["_BLOCK", "_kernel", "_step"]
+    assert foreign_private_names({"home": home + "\nhome._BLOCK\n", "np": "_x = 1\n"}) == []
+
+
 def test_checker_flags_a_name_only_tests_reach():
     home = "def helper():\n    return 1\n\ndef used():\n    return helper()\n\ndef orphan():\n    pass\n"
     script = "from simplexgeo.home import used\n\nused()\n"
@@ -564,6 +591,11 @@ def test_no_unused_top_level_import(path):
 def test_every_private_name_is_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def test_private_names_stay_in_their_module():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert foreign_private_names(modules) == ["_SOFTMAX_BLOCK", "_read_only", "_require_finite"]
 
 
 def test_every_public_name_has_a_caller_besides_unit_tests():

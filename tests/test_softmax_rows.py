@@ -237,3 +237,26 @@ def test_geodesic_command_blames_the_scalar_frame(tmp_path, capsys, recwarn, arg
     assert capsys.readouterr().err == f"geodesic dim=3 {line}\n"
     assert not recwarn.list
     assert not out.exists()
+
+
+def test_a_residual_that_fails_first_in_time_raises_before_a_later_shifted_point(recwarn):
+    # Both rows are finite and the residual at t = 0 is not, while the shifted points
+    # of t = 1.797 overflow: the per-t loop reaches t = 0 first, so its error is raised.
+    geo = EGeodesic(SimplexPoint(np.full(2, 0.5)), np.array([1e308, -1e308]))
+    times = np.array([0.0, 1.797])
+    want = outcome(lambda: scalar_geodesic(geo, times))
+    assert want == ("raise", CurveDomain, "e-connection derivative is not finite at t = 0.0")
+    assert outcome(lambda: e_geodesic_residual_rows(geo, times)) == want
+    assert not recwarn.list
+
+
+def test_geodesic_command_blames_the_first_time_in_order(tmp_path, capsys, recwarn):
+    out = tmp_path / "geo.csv"
+    argv = ["--v0", "explicit:5e307,-5e307", "--t-max", "1.797", "--dt", "1.797", "--out", str(out)]
+    assert main(["geodesic", "--dim", "2", "--p0", "uniform", *argv]) == 1
+    assert capsys.readouterr().err == (
+        "geodesic dim=2 error in simplexgeo.connections.e_covariant_along_curve: "
+        "e-connection derivative is not finite at t = 0.0\n"
+    )
+    assert not recwarn.list
+    assert not out.exists()
