@@ -165,6 +165,8 @@ class SpherePoint:
     def __post_init__(self):
         check_exponent(self.q)
         a = np.asarray(self.coords, dtype=float)
+        if a.ndim != 1:
+            raise DimensionTooSmall("coords must be a one-dimensional vector")
         _require_finite(a, "coordinate vector")
         tol = membership_tol(a.size)
         s = float(np.sum(np.abs(a) ** self.q))
@@ -186,6 +188,8 @@ class SphereTangent:
 
     def __post_init__(self):
         a = np.asarray(self.comps, dtype=float)
+        if a.ndim != 1:
+            raise DimensionTooSmall("components must be a one-dimensional vector")
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
         _require_finite(a, "component vector")
@@ -402,9 +406,7 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
 
     Uses log-sum-exp centering; coordinates that underflow are flushed to
     the smallest positive normal so the result stays in the open simplex.
-    The sub-ulp rounding residue of the sum is then absorbed into a
-    coordinate chosen by trial (smallest first, reverting bumps that do
-    not help), which lands the sum on exactly 1.0.
+    :func:`_fix_up` then lands the sum on exactly 1.0.
     """
     s = np.asarray(log_weights, dtype=float)
     _require_finite(s, "log-weight vector")
@@ -413,14 +415,26 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
         w = np.exp(s - np.maximum.reduce(s, axis=None))
     x = w / np.add.reduce(w, axis=None)
     x = np.maximum(x, TINY)
+    _fix_up(x)
+    return x
+
+
+def _fix_up(x: np.ndarray) -> None:
+    """Absorb the sub-ulp rounding residue of a flushed row's sum, in place.
+
+    The one fix-up rule of every softmax row.  In at most six rounds, the
+    residue goes to a coordinate chosen by trial, smallest first: a bump
+    that lands the sum on exactly 1.0 ends the fix-up, one that shrinks the
+    residue ends the round, and any other is reverted.  A round whose bumps
+    are all reverted leaves x as it was, so the rounds after it do the same.
+    """
     order = None
     for _ in range(6):
         d = 1.0 - float(np.add.reduce(x, axis=None))
         if d == 0.0:
-            return x
+            return
         if order is None:  # the order of x before any bump, sorted only when the sum misses 1.0
             order = np.argsort(x)
-        moved = False
         for j in order:
             old = x[j]
             bumped = old + d
@@ -428,14 +442,10 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
                 x[j] = bumped
                 residue = 1.0 - float(np.add.reduce(x, axis=None))
                 if residue == 0.0:
-                    return x
+                    return
                 if abs(residue) < abs(d):
-                    moved = True
                     break
                 x[j] = old
-        if not moved:
-            break
-    return x
 
 
 def softmax_curve(p0: SimplexPoint, a: np.ndarray, t: float) -> SimplexPoint:
@@ -455,16 +465,13 @@ def softmax_rows(p0: SimplexPoint, a: np.ndarray, times) -> np.ndarray:
     at most ``_SOFTMAX_BLOCK`` coordinates (whole rows, at least one); each
     block is centred, exponentiated, divided and flushed to ``TINY`` at
     once, in place in its rows of the result.  A row whose sum misses 1.0
-    then gets the scalar loop's first trial: its residue goes to the
-    smallest coordinate it moves, which is the first such coordinate in
-    sorted order when no other coordinate ties with it.  A row that this
-    does not land on exactly 1.0, or whose candidate is tied, is redone by
-    :func:`softmax_coords`, the one home of the full fix-up.  Every row
-    then passes :class:`SimplexPoint`'s rule, as the scalar path's rows
-    do: its coordinates are at least ``TINY``, and its sum starts a few
-    ulps per coordinate from 1 and only moves closer.  A block with a
-    log-weight that is not finite is redone by :func:`softmax_curve` in
-    time order, which raises the error of its first bad row.
+    then gets :func:`_fix_up` in place, the fix-up :func:`softmax_coords`
+    ends with.  Every row then passes :class:`SimplexPoint`'s rule, as the
+    scalar path's rows do: its coordinates are at least ``TINY``, and its
+    sum starts a few ulps per coordinate from 1 and only moves closer.  A
+    block with a log-weight that is not finite is redone by
+    :func:`softmax_curve` in time order, which raises the error of its
+    first bad row.
     """
     times = np.asarray(times, dtype=float)
     log_p0 = np.log(p0.coords)
@@ -484,19 +491,8 @@ def softmax_rows(p0: SimplexPoint, a: np.ndarray, times) -> np.ndarray:
         np.exp(x, out=x)
         x /= x.sum(axis=1, keepdims=True)
         np.maximum(x, TINY, out=x)
-        miss = np.flatnonzero(x.sum(axis=1) != 1.0)
-        if miss.size:
-            xm = x[miss]
-            bumped = xm + (1.0 - xm.sum(axis=1))[:, None]
-            moves = np.where((bumped > 0.0) & (bumped != xm), xm, np.inf)
-            j = moves.argmin(axis=1)
-            r = np.arange(miss.size)
-            alone = (moves == moves[r, j][:, None]).sum(axis=1) == 1
-            xm[r, j] = bumped[r, j]
-            settled = alone & (xm.sum(axis=1) == 1.0)
-            x[miss[settled]] = xm[settled]
-            for i in miss[~settled]:
-                x[i] = softmax_coords(log_p0 + a * chunk[i])
+        for i in np.flatnonzero(x.sum(axis=1) != 1.0):
+            _fix_up(x[i])
     return rows
 
 

@@ -122,6 +122,18 @@ def test_rows_that_miss_one_are_bitwise_too():
     assert np.array_equal(softmax_rows(p0, a, times), scalar_rows(p0, a, times)[0])
 
 
+def test_a_finite_block_fixes_its_rows_in_place():
+    # Integer exponents from the uniform point tie many coordinates, and about half of
+    # these rows miss 1.0; each is fixed in place, none is recomputed by softmax_coords.
+    rng = np.random.default_rng(1)
+    p0 = start_point("uniform", 64, rng, None)
+    a = exponents("integers", 64, rng)
+    times = np.linspace(-10.0, 10.0, 2001)
+    want = scalar_rows(p0, a, times)[0]
+    with mock.patch.object(sequence_core, "softmax_coords", side_effect=AssertionError):
+        assert np.array_equal(softmax_rows(p0, a, times), want)
+
+
 @settings(max_examples=40)
 @given(
     dim=st.integers(2, 300),
