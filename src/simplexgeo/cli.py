@@ -233,7 +233,8 @@ def _trajectory_csv(traj: Trajectory) -> typing.Iterator[str]:
     columns = [traj.times, traj.coords, traj.residual_l1]
     if traj.objective is not None:
         columns.append(traj.objective)
-    if not all(np.isfinite(column).all() for column in columns):
+    # min and max carry any NaN or infinity, with no temporary the size of the block.
+    if not all(math.isfinite(column.min()) and math.isfinite(column.max()) for column in columns):
         raise ValueError("a trajectory cell is NaN or infinite")
     dim = traj.coords.shape[1]
     yield "t," + ",".join(f"p_{i}" for i in range(dim)) + ",objective,residual_l1\n"

@@ -51,6 +51,11 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NonFiniteInput(f"{what} contains NaN or infinity")
 
 
+def _require_vector(a: np.ndarray, what: str) -> None:
+    if a.ndim != 1:
+        raise DimensionTooSmall(f"{what} must be a one-dimensional vector")
+
+
 def check_exponent(q: float | None) -> None:
     """Raise :class:`InvalidExponent` unless 1 < q < inf."""
     if q is None or not (1.0 < q < math.inf):
@@ -60,8 +65,7 @@ def check_exponent(q: float | None) -> None:
 def check_simplex(a: np.ndarray, tail_bound: float) -> None:
     """Raise the typed error of the first part of :class:`SimplexPoint`'s rule that the
     float array ``a`` fails with ``tail_bound``: shape, finiteness, positivity, tail bound, sum."""
-    if a.ndim != 1:
-        raise DimensionTooSmall("coords must be a one-dimensional vector")
+    _require_vector(a, "coords")
     if a.size < 2:
         raise DimensionTooSmall(f"need at least 2 coordinates, got {a.size}")
     s, tol = float(np.add.reduce(a, axis=None)), membership_tol(a.size)
@@ -129,8 +133,7 @@ class TangentVector:
 
     def __post_init__(self):
         a = np.asarray(self.comps, dtype=float)
-        if a.ndim != 1:
-            raise DimensionTooSmall("components must be a one-dimensional vector")
+        _require_vector(a, "components")
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
         check_zero_sum(a)
@@ -165,8 +168,7 @@ class SpherePoint:
     def __post_init__(self):
         check_exponent(self.q)
         a = np.asarray(self.coords, dtype=float)
-        if a.ndim != 1:
-            raise DimensionTooSmall("coords must be a one-dimensional vector")
+        _require_vector(a, "coords")
         _require_finite(a, "coordinate vector")
         tol = membership_tol(a.size)
         s = float(np.sum(np.abs(a) ** self.q))
@@ -188,8 +190,7 @@ class SphereTangent:
 
     def __post_init__(self):
         a = np.asarray(self.comps, dtype=float)
-        if a.ndim != 1:
-            raise DimensionTooSmall("components must be a one-dimensional vector")
+        _require_vector(a, "components")
         if a.size != self.base.dim:
             raise LengthMismatch(f"components have length {a.size}, base has {self.base.dim}")
         _require_finite(a, "component vector")
@@ -238,8 +239,7 @@ class SequenceSpec:
             if self.coords is None:
                 raise NotNormalizable("explicit spec needs coords")
             a = np.asarray(self.coords, dtype=float)
-            if a.ndim != 1:
-                raise DimensionTooSmall("coords must be a one-dimensional vector")
+            _require_vector(a, "coords")
             if a.size != self.dim:
                 raise LengthMismatch(f"{a.size} coords but dim {self.dim}")
             object.__setattr__(self, "coords", _read_only(a))
@@ -331,8 +331,7 @@ def make_tangent(base: SimplexPoint, raw) -> TangentVector:
     # Raw vectors come from outside (the CLI's --v0), so finiteness is checked
     # before the sum: a sum over both infinities would raise numpy's RuntimeWarning.
     _require_finite(a, "raw vector")
-    if a.ndim != 1:
-        raise DimensionTooSmall("components must be a one-dimensional vector")
+    _require_vector(a, "components")
     return TangentVector(base, project_zero_sum(a))
 
 
@@ -426,7 +425,7 @@ def _fix_up(x: np.ndarray) -> None:
     residue goes to a coordinate chosen by trial, smallest first: a bump
     that lands the sum on exactly 1.0 ends the fix-up, one that shrinks the
     residue ends the round, and any other is reverted.  A round whose bumps
-    are all reverted leaves x as it was, so the rounds after it do the same.
+    are all reverted leaves x as it was and ends the fix-up.
     """
     order = None
     for _ in range(6):
@@ -435,6 +434,7 @@ def _fix_up(x: np.ndarray) -> None:
             return
         if order is None:  # the order of x before any bump, sorted only when the sum misses 1.0
             order = np.argsort(x)
+        moved = False
         for j in order:
             old = x[j]
             bumped = old + d
@@ -444,8 +444,11 @@ def _fix_up(x: np.ndarray) -> None:
                 if residue == 0.0:
                     return
                 if abs(residue) < abs(d):
+                    moved = True
                     break
                 x[j] = old
+        if not moved:
+            return
 
 
 def softmax_curve(p0: SimplexPoint, a: np.ndarray, t: float) -> SimplexPoint:

@@ -467,6 +467,16 @@ class TestNearTheFloatRange:
             _emit(cfg, {"command": "flow"}, traj)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_csv_writer_refuses_a_non_finite_inner_coordinate(self, tmp_path, bad):
+        # Neither the smallest nor the largest finite cell: the check must still see it.
+        rows = np.array([[0.2, 0.3, 0.5], [0.1, bad, 0.6], [0.4, 0.4, 0.2]])
+        traj = Trajectory(np.array([0.0, 1.0, 2.0]), rows, None, np.zeros(3))
+        cfg = RunConfig("flow", format="csv", out_path=str(tmp_path / "t.out"))
+        with pytest.raises(NonFiniteOutput):
+            _emit(cfg, {"command": "flow"}, traj)
+        assert os.listdir(tmp_path) == []
+
 
 ALL_OPTIONS = [
     "--dim", "4", "--c", "uniform", "--p0", "geometric:0.5", "--v0", "explicit:1,-1",
