@@ -261,9 +261,15 @@ def _vertex_distance(obj: LinearObjective, p0: SimplexPoint, t: float) -> float:
 def _crossing_time(
     obj: LinearObjective, p0: SimplexPoint, level: float, lo: float, hi: float
 ) -> float:
-    """Bisect for the first time the vertex distance drops to ``level``."""
+    """Bisect for the first time the vertex distance drops to ``level``.
+
+    Once ``lo`` and ``hi`` are adjacent floats ``mid`` equals one of them,
+    and no later step would change ``0.5 * (lo + hi)``.
+    """
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _vertex_distance(obj, p0, mid) > level:
             lo = mid
         else:

@@ -348,19 +348,26 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     # and the raw determinant underflows for fast-decaying weights.  A norm
     # that overflows (|c_k z_k| past about 1e154) is taken after dividing by
     # the largest modulus instead.  Disjoint supports make every off-diagonal
-    # Gram entry an exact zero, so the matrix is its diagonal; np.linalg.det
-    # (not a product, which rounds differently) still takes its determinant.
+    # Gram entry an exact zero, so the matrix is its diagonal d, which needs no
+    # LU factorisation.  Its determinant is taken as np.linalg.det takes it
+    # from the factors: exp of the left-to-right sum of log d_i, in libm (a
+    # product or a compensated sum rounds differently), with -inf for a zero
+    # d_i.  A test pins these bits to det of the full matrix.
     zg = random_complex_point(np.random.default_rng(streams[-1]), n)
-    grads = []
+    log_det = 0.0
     for g, _ in wirtinger(h_modes, zg):
         with np.errstate(over="ignore", invalid="ignore"):
             norm = np.linalg.norm(g)
             if not math.isfinite(norm):
                 g = g / np.abs(g).max()
                 norm = np.linalg.norm(g)
-        grads.append(g / norm if norm > 0.0 else g)
-    gram = np.diag([np.vdot(g, g).real for g in grads])
-    gram_det = float(np.linalg.det(gram))
+        g = g / norm if norm > 0.0 else g
+        d = np.vdot(g, g).real
+        log_det += -math.inf if d == 0.0 else math.log(d)
+    try:
+        gram_det = math.exp(log_det)
+    except OverflowError:
+        gram_det = math.inf
 
     passed = (
         brackets_vanish(analytic_max, numeric_max)

@@ -24,8 +24,8 @@ from simplexgeo.cli import (
     run,
 )
 from simplexgeo.errors import ConfigError, NonFiniteOutput, ParseError, RatioOutOfRange
-from simplexgeo.flows import LinearObjective, Trajectory
-from simplexgeo.sequence_core import TINY
+from simplexgeo.flows import LinearObjective, Trajectory, flow_closed_form, objective_value, solve_lp
+from simplexgeo.sequence_core import TINY, SimplexPoint, make_simplex_point
 
 
 class TestParseSequenceSpec:
@@ -212,6 +212,24 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
         assert abs(payload["rate"] - 0.5) / 0.5 <= 0.05
+
+    def test_lp_csv_rows_are_the_probes_on_the_flow(self, tmp_path):
+        out = tmp_path / "lp.csv"
+        argv = ["lp", "--dim", "8", "--c", "geometric:0.5", "--p0", "geometric:0.8", "--tol", "1e-8"]
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+        obj = LinearObjective(parse_sequence_spec("geometric:0.5", 8).template())
+        p0 = make_simplex_point(parse_sequence_spec("geometric:0.8", 8))
+        _, report = solve_lp(obj, p0, 1e-8)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t," + ",".join(f"p_{i}" for i in range(8)) + ",objective,residual_l1"
+        cells = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        times, distances = np.array(report.probes).T
+        assert cells[:, 0].tobytes() == times.tobytes()
+        assert cells[:, -1].tobytes() == distances.tobytes()
+        for t, row in zip(times, cells):
+            point = flow_closed_form(obj, p0, t)
+            assert row[1:-2].tobytes() == point.coords.tobytes()
+            assert row[-2] == objective_value(obj, SimplexPoint(row[1:-2]))
 
     def test_lp_start_at_the_vertex_fits_no_rate(self, tmp_path, capsys):
         # Within 10 tol of e_0 at t = 0 there is no decade of decay to fit a rate on.

@@ -261,6 +261,42 @@ class TestSolveLp:
         assert "converged" in payload
 
 
+def bisect_80_steps(obj, p0, level, lo, hi):
+    """The crossing time as the bisection took it before it stopped at adjacent floats."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if flows._vertex_distance(obj, p0, mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCrossingTime:
+    # Objectives as the benchmark's lp command draws them: c_0 = 1, two gaps
+    # in [0.3, 0.6], then gaps of about 1/N; gamma-distributed starts.
+    @pytest.mark.parametrize("n", [8, 64, 256, 1024])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3])
+    def test_stopping_at_adjacent_floats_keeps_the_80_step_bits(self, n, tol):
+        rng = np.random.default_rng(n)
+        gaps = np.concatenate((rng.uniform(0.3, 0.6, 2), rng.uniform(0.5, 1.5, n - 3) / n))
+        obj = LinearObjective(1.0 - np.concatenate(([0.0], np.cumsum(gaps))))
+        g = rng.gamma(2.0, size=n)
+        p0 = SimplexPoint(g / g.sum())
+        _, report = solve_lp(obj, p0, tol)
+        level_lo = max(tol, 1e-11)
+        calls = []
+        distance = flows._vertex_distance
+        t_hi = bisect_80_steps(obj, p0, 10.0 * level_lo, 0.0, report.t_final)
+        t_lo = bisect_80_steps(obj, p0, level_lo, t_hi, report.t_final)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flows, "_vertex_distance", lambda *args: calls.append(1) or distance(*args))
+            got_hi = flows._crossing_time(obj, p0, 10.0 * level_lo, 0.0, report.t_final)
+            got_lo = flows._crossing_time(obj, p0, level_lo, t_hi, report.t_final)
+        assert (got_hi, got_lo) == (t_hi, t_lo)
+        assert len(calls) <= 160 - 53
+
+
 class TestFlowGeodesicCorrespondence:
     def test_default_grid(self, half_half):
         obj = LinearObjective(np.array([1.0, 0.0]))

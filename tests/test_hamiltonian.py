@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplexgeo import hamiltonian
+from simplexgeo import checks, hamiltonian
 from simplexgeo.errors import ComplexResidue, DimensionMismatch, InvalidParameter, NotNormalizable
 from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field, objective_value
 from simplexgeo.hamiltonian import (
@@ -515,9 +515,36 @@ class TestSuiteBlocks:
     @example(c=np.array([1.0, 0.0, 2.0]), seed=5)
     @example(c=np.array([1.7e154, 1.0, 1.0]), seed=7)
     @example(c=np.array([-1e300, 3e300, 1e-300]), seed=1)
+    @example(c=0.5 ** np.arange(48.0), seed=2)
+    @example(c=np.insert(np.linspace(0.5, 3.0, 24), 9, 0.0), seed=3)
     def test_gram_determinant_matches_the_full_matrix(self, c, seed):
         got = self.run_suite(c, 1, seed)["gram_det"]
         assert bits(got) == bits(reference_gram_det(c, seed))
+
+    def test_no_factorisation_takes_the_determinant(self):
+        weights = [np.array([3.0, 2.0, 1.0]), 0.9 ** np.arange(48.0), np.array([1.0, 0.0, 2.0])]
+        expected = [reference_gram_det(c, 11) for c in weights]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Gram determinant needs no factorisation")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "det", refuse)
+            mp.setattr(np.linalg, "slogdet", refuse)
+            got = [integrability_suite(c, trials=1, seed=11)["gram_det"] for c in weights]
+            results = checks.check_all(8, 11)
+        assert bits(got).tolist() == bits(expected).tolist()
+        assert all(r.passed for r in results)
+
+    def test_an_overflowing_log_sum_gives_inf_as_det_does(self):
+        # Unit-normalised entries reach it only through contrived weights at thousands
+        # of modes; inflated ones show that it gives det's inf, not an OverflowError.
+        c = np.array([1.0, 2.0, 3.0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "vdot", lambda a, b: np.complex128(1e300))
+            got = self.run_suite(c, 1, 0)["gram_det"]
+        with np.errstate(over="ignore"):
+            assert got == np.linalg.det(np.diag([1e300] * 3)) == math.inf
 
     @settings(max_examples=60)
     @given(c=suite_weights(), trials=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
