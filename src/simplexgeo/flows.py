@@ -277,14 +277,14 @@ def _crossing_time(
     return 0.5 * (lo + hi)
 
 
-def _fit_rate(obj: LinearObjective, p0: SimplexPoint, tol: float, t_hi_bracket: float) -> float | None:
+def _fit_rate(obj: LinearObjective, p0: SimplexPoint, tol: float, probes: list) -> float | None:
     """Least-squares slope of log distance over the last decade of decay."""
     level_lo = max(tol, 1e-11)
     level_hi = 10.0 * level_lo
-    if _vertex_distance(obj, p0, 0.0) <= level_hi:
+    if probes[0][1] <= level_hi:  # at t = 0
         return None
-    t_hi = _crossing_time(obj, p0, level_hi, 0.0, t_hi_bracket)
-    t_lo = _crossing_time(obj, p0, level_lo, t_hi, t_hi_bracket)
+    t_hi = _crossing_time(obj, p0, level_hi, 0.0, probes[-1][0])
+    t_lo = _crossing_time(obj, p0, level_lo, t_hi, probes[-1][0])
     ts = np.linspace(t_hi, t_lo, 50)
     ds = _vertex_gaps(softmax_rows(p0, obj.c, ts))
     slope = np.polyfit(ts, np.log(ds), 1)[0]
@@ -296,10 +296,10 @@ def solve_lp(
 ) -> tuple[SimplexPoint, LpReport]:
     """Follow the closed-form flow until within ``tol`` (l1) of the vertex e_0.
 
-    The horizon doubles from t = 1 up to a hard cap; hitting the cap
-    yields a non-converged report rather than an exception.  For
-    objectives that are not strictly decreasing the flow still runs, but
-    the report carries an advisory since the limit may sit on a face.
+    The horizon doubles from t = 1 to a hard cap; the limit is the last
+    point probed, and the cap gives a non-converged report, no error.
+    For objectives that are not strictly decreasing the flow still runs,
+    and an advisory says that the limit may sit on a face.
     """
     if not tol > 0.0:
         raise InvalidParameter(f"tol must be positive, got {tol}")
@@ -314,7 +314,8 @@ def solve_lp(
     t = 1.0
     converged = False
     while True:
-        d = _vertex_distance(obj, p0, t)
+        limit = flow_closed_form(obj, p0, t)
+        d = float(_vertex_gaps(limit.coords))
         probes.append((t, d))
         if d <= tol:
             converged = True
@@ -323,8 +324,7 @@ def solve_lp(
             break
         t = min(2.0 * t, MAX_HORIZON)
 
-    limit = flow_closed_form(obj, p0, t)
-    rate = _fit_rate(obj, p0, tol, t) if converged else None
+    rate = _fit_rate(obj, p0, tol, probes) if converged else None
     report = LpReport(
         converged=converged,
         t_final=t,

@@ -345,20 +345,20 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     # disjoint supports; the horizontal gradients satisfy one exact relation
     # at finite truncation (sum_n H_n / c_n is constant on the sphere).
     # Gradients are unit-normalized first: independence is scale-invariant,
-    # and the raw determinant underflows for fast-decaying weights.  A norm
-    # that overflows (|c_k z_k| past about 1e154) is taken after dividing by
-    # the largest modulus instead.  Disjoint supports make every off-diagonal
-    # Gram entry an exact zero, so the matrix is its diagonal d, which needs no
-    # LU factorisation.  Its determinant is taken as np.linalg.det takes it
-    # from the factors: exp of the left-to-right sum of log d_i, in libm (a
-    # product or a compensated sum rounds differently), with -inf for a zero
-    # d_i.  A test pins these bits to det of the full matrix.
+    # and the raw determinant underflows for fast-decaying weights.  A nonzero
+    # gradient whose norm overflows (|c_k z_k| > 1e154) or underflows to 0.0
+    # (< 1e-162) is divided by its largest modulus.  Disjoint supports
+    # make every off-diagonal Gram entry an exact zero, so the matrix is its
+    # diagonal d.  Its determinant is taken as det takes it from LU factors:
+    # exp of the left-to-right sum of log d_i, in libm (a product or a
+    # compensated sum rounds differently), with -inf for a zero d_i.  A test
+    # pins these bits to np.linalg.det of the full matrix.
     zg = random_complex_point(np.random.default_rng(streams[-1]), n)
     log_det = 0.0
     for g, _ in wirtinger(h_modes, zg):
         with np.errstate(over="ignore", invalid="ignore"):
             norm = np.linalg.norm(g)
-            if not math.isfinite(norm):
+            if not 0.0 < norm < math.inf and g.any():
                 g = g / np.abs(g).max()
                 norm = np.linalg.norm(g)
         g = g / norm if norm > 0.0 else g

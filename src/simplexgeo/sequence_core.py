@@ -403,9 +403,9 @@ def refine(spec: SequenceSpec, dims: list[int]) -> list[SimplexPoint]:
 def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
     """Simplex coordinates proportional to exp(log_weights), stably.
 
-    Uses log-sum-exp centering; coordinates that underflow are flushed to
-    the smallest positive normal so the result stays in the open simplex.
-    :func:`_fix_up` then lands the sum on exactly 1.0.
+    Uses log-sum-exp centering and flushes underflowed coordinates to the
+    smallest positive normal, so the result stays in the open simplex; if
+    its one sum misses 1.0, :func:`_fix_up` lands it on 1.0 from that residue.
     """
     s = np.asarray(log_weights, dtype=float)
     _require_finite(s, "log-weight vector")
@@ -414,27 +414,23 @@ def softmax_coords(log_weights: np.ndarray) -> np.ndarray:
         w = np.exp(s - np.maximum.reduce(s, axis=None))
     x = w / np.add.reduce(w, axis=None)
     x = np.maximum(x, TINY)
-    _fix_up(x)
+    d = 1.0 - float(np.add.reduce(x, axis=None))
+    if d != 0.0:
+        _fix_up(x, d)
     return x
 
 
-def _fix_up(x: np.ndarray) -> None:
-    """Absorb the sub-ulp rounding residue of a flushed row's sum, in place.
+def _fix_up(x: np.ndarray, d: float) -> None:
+    """Absorb the nonzero residue d = 1 - sum(x) of a flushed row, in place.
 
     The one fix-up rule of every softmax row.  In at most six rounds, the
-    residue goes to a coordinate chosen by trial, smallest first: a bump
-    that lands the sum on exactly 1.0 ends the fix-up, one that shrinks the
-    residue ends the round, and any other is reverted.  A round whose bumps
-    are all reverted leaves x as it was and ends the fix-up.
+    residue goes to a coordinate chosen by trial, smallest in x as given
+    first: a bump that lands the sum on exactly 1.0 ends the fix-up, one
+    that shrinks the residue ends the round and carries its residue into
+    the next, and any other is reverted.  A round with no such bump ends it.
     """
-    order = None
+    order = np.argsort(x)
     for _ in range(6):
-        d = 1.0 - float(np.add.reduce(x, axis=None))
-        if d == 0.0:
-            return
-        if order is None:  # the order of x before any bump, sorted only when the sum misses 1.0
-            order = np.argsort(x)
-        moved = False
         for j in order:
             old = x[j]
             bumped = old + d
@@ -444,10 +440,10 @@ def _fix_up(x: np.ndarray) -> None:
                 if residue == 0.0:
                     return
                 if abs(residue) < abs(d):
-                    moved = True
+                    d = residue
                     break
                 x[j] = old
-        if not moved:
+        else:
             return
 
 
@@ -467,14 +463,14 @@ def softmax_rows(p0: SimplexPoint, a: np.ndarray, times) -> np.ndarray:
     The one block form of :func:`softmax_coords`.  Times go in blocks of
     at most ``_SOFTMAX_BLOCK`` coordinates (whole rows, at least one); each
     block is centred, exponentiated, divided and flushed to ``TINY`` at
-    once, in place in its rows of the result.  A row whose sum misses 1.0
-    then gets :func:`_fix_up` in place, the fix-up :func:`softmax_coords`
-    ends with.  Every row then passes :class:`SimplexPoint`'s rule, as the
-    scalar path's rows do: its coordinates are at least ``TINY``, and its
-    sum starts a few ulps per coordinate from 1 and only moves closer.  A
-    block with a log-weight that is not finite is redone by
-    :func:`softmax_curve` in time order, which raises the error of its
-    first bad row.
+    once, in place in its rows of the result, and each row summed once.
+    A row whose sum misses 1.0 gets :func:`_fix_up` in place from that
+    residue, as in :func:`softmax_coords`.  Each row then passes
+    :class:`SimplexPoint`'s rule, as the scalar path's rows do: its
+    coordinates are at least ``TINY``, and its sum starts a few ulps per
+    coordinate from 1 and only moves closer.  A block with a non-finite
+    log-weight is redone by :func:`softmax_curve` in time order, which
+    raises the error of its first bad row.
     """
     times = np.asarray(times, dtype=float)
     log_p0 = np.log(p0.coords)
@@ -487,15 +483,16 @@ def softmax_rows(p0: SimplexPoint, a: np.ndarray, times) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(a, chunk[:, None], out=x)
             x += log_p0
-            if not np.isfinite(x).all():
+            if np.isfinite(x).all():
+                x -= x.max(axis=1, keepdims=True)  # centred as in softmax_coords
+                np.exp(x, out=x)
+                x /= x.sum(axis=1, keepdims=True)
+                np.maximum(x, TINY, out=x)
+                for i, total in enumerate(x.sum(axis=1).tolist()):
+                    if total != 1.0:
+                        _fix_up(x[i], 1.0 - total)
+            else:
                 x[:] = [softmax_curve(p0, a, t).coords for t in chunk]
-                continue
-            x -= x.max(axis=1, keepdims=True)  # centred as in softmax_coords
-        np.exp(x, out=x)
-        x /= x.sum(axis=1, keepdims=True)
-        np.maximum(x, TINY, out=x)
-        for i in np.flatnonzero(x.sum(axis=1) != 1.0):
-            _fix_up(x[i])
     return rows
 
 

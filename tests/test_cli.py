@@ -272,6 +272,14 @@ class TestOtherCommands:
             "brackets_max_abs", "conservation_max_drift", "gram_det", "pass", "seed",
         }
 
+    def test_integrability_passes_a_tiny_nonzero_weight(self, tmp_path):
+        out = tmp_path / "integ.json"
+        code = main(["integrability", "--dim", "3", "--c", "explicit:3,2,1e-200", "--seed", "0",
+                     "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["pass"] and payload["gram_det"] > 0.0
+
     def test_check_all(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(["check-all", "--dim", "16", "--seed", "7"])

@@ -458,7 +458,7 @@ def reference_gram_det(c, seed):
     for g, _ in wirtinger([coordinate_hamiltonian(c, k) for k in range(c.size)], zg):
         with np.errstate(over="ignore", invalid="ignore"):
             norm = np.linalg.norm(g)
-            if not math.isfinite(norm):
+            if not 0.0 < norm < math.inf and g.any():
                 g = g / np.abs(g).max()
                 norm = np.linalg.norm(g)
         grads.append(g / norm if norm > 0.0 else g)
@@ -582,6 +582,12 @@ class TestIntegrabilitySuite:
         report = integrability_suite(np.array([1.7e154, 1.0, 1.0]), trials=10, seed=7)
         assert math.isfinite(report["brackets_max_abs"])
         assert report["gram_det"] > 0.0
+
+    def test_underflowing_gradient_norm_keeps_independence(self):
+        # Every |c_k z_k| below about 1e-162 squares to 0.0 in the norm, but the gradient is nonzero.
+        report = integrability_suite(np.array([1e-170, 2e-170, 3e-170]), trials=2, seed=0)
+        assert report["gram_det"] > 0.0
+        assert report["pass"]
 
     def test_nan_bracket_reaches_the_report(self):
         # c_0^2 overflows, so the bracket of the full Hamiltonian with mode 0 is inf - inf.
