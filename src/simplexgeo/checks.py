@@ -11,12 +11,16 @@ The bracket and conservation bounds are named constants in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import connections, flows, hamiltonian, metrics, sequence_core, transforms
 from .hamiltonian import BRACKET_TOL, CANONICAL_TOL, CONSERVATION_TOL
 from .sequence_core import SequenceSpec, make_simplex_point, random_simplex_point, random_tangent
+
+if TYPE_CHECKING:
+    from ._draws import Draws
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,11 @@ def _result(name: str, value: float, threshold: float) -> CheckResult:
     return CheckResult(name, float(value), threshold, bool(value <= threshold))
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, tag]))
+def _rng(seed: int, tag: int) -> Draws:
+    """numpy's ``default_rng(SeedSequence([seed, tag]))`` stream."""
+    from ._draws import Draws  # loaded on the first draw, not with the package
+
+    return Draws([seed, tag])
 
 
 def check_sequence_core(dim: int, seed: int) -> list[CheckResult]:
@@ -73,8 +80,11 @@ def check_sequence_core(dim: int, seed: int) -> list[CheckResult]:
     ]
 
 
-def isometry_results(rng: np.random.Generator, dim: int, qs: tuple, trials: int) -> list[CheckResult]:
-    """Round trip and q-root identity at every q in ``qs``, plus the q = 2 isometry."""
+def isometry_results(rng: Draws, dim: int, qs: tuple, trials: int) -> list[CheckResult]:
+    """Round trip and q-root identity at every q in ``qs``, plus the q = 2 isometry.
+
+    ``rng`` is a numpy Generator or a ``Draws``.
+    """
     round_trip = 0.0
     isometry = 0.0
     scaled = 0.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .errors import (
     NotNormalizable,
 )
 from .sequence_core import _read_only, _require_finite, membership_tol
+
+if TYPE_CHECKING:
+    from ._draws import Draws
 
 #: Central-difference step for numeric Wirtinger derivatives.
 WIRTINGER_STEP = 1e-6
@@ -302,8 +306,11 @@ def kahler_gradient_check(H: QuadraticHamiltonian, z: ComplexPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-def random_complex_point(rng: np.random.Generator, dim: int) -> ComplexPoint:
-    """Unit complex vector with rotation-invariant direction."""
+def random_complex_point(rng: Draws, dim: int) -> ComplexPoint:
+    """Unit complex vector with rotation-invariant direction.
+
+    ``rng`` is a numpy Generator or a ``Draws``: only its ``standard_normal`` is called.
+    """
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return ComplexPoint(z / np.linalg.norm(z))
 
@@ -319,20 +326,24 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     generic point have a positive Gram determinant, witnessing linear
     independence.  Independence requires every weight to be nonzero; a
     zero weight fails the Gram check.
+
+    Trial t draws from ``Draws(seed, spawn_key=(t,))`` and the Gram point from
+    ``Draws(seed, spawn_key=(trials,))``: the streams of the children of numpy's
+    ``SeedSequence(seed).spawn(trials + 1)``.  A seed that is not a non-negative
+    integer raises ``InvalidParameter``.
     """
+    from ._draws import Draws  # loaded on the first draw, not with the package
+
     c = np.asarray(c, dtype=float)
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     n = c.size
     h_full = QuadraticHamiltonian(c)
     h_modes = [coordinate_hamiltonian(c, k) for k in range(n)]
-    streams = np.random.SeedSequence(seed).spawn(trials + 1)
-
     maxima = []  # (analytic, numeric) per trial
     drifts = []
     for trial in range(trials):
-        rng = np.random.default_rng(streams[trial])
-        z = random_complex_point(rng, n)
+        z = random_complex_point(Draws(seed, spawn_key=(trial,)), n)
         maxima.append(bracket_max([h_full, *h_modes], z))
         path = [z.coords] + [hamiltonian_flow(h_full, z, t).coords for t in (0.1, 1.0, 10.0)]
         # Column n is H_n along the path: a single-mode weight row adds only exact zeros.
@@ -353,7 +364,7 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     # exp of the left-to-right sum of log d_i, in libm (a product or a
     # compensated sum rounds differently), with -inf for a zero d_i.  A test
     # pins these bits to np.linalg.det of the full matrix.
-    zg = random_complex_point(np.random.default_rng(streams[-1]), n)
+    zg = random_complex_point(Draws(seed, spawn_key=(trials,)), n)
     log_det = 0.0
     for g, _ in wirtinger(h_modes, zg):
         with np.errstate(over="ignore", invalid="ignore"):

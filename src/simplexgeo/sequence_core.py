@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .errors import (
     NoTailModel,
     RatioOutOfRange,
 )
+
+if TYPE_CHECKING:
+    from ._draws import Draws
 
 #: Smallest positive normal double; underflow flush target for softmax curves.
 TINY = float(np.finfo(float).tiny)
@@ -501,8 +505,11 @@ def softmax_rows(p0: SimplexPoint, a: np.ndarray, times) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def random_simplex_point(rng: np.random.Generator, dim: int) -> SimplexPoint:
-    """Random interior point; coordinates are kept above 0.01 / dim."""
+def random_simplex_point(rng: Draws, dim: int) -> SimplexPoint:
+    """Random interior point; coordinates are kept above 0.01 / dim.
+
+    ``rng`` is a numpy Generator or a ``Draws``: only its ``gamma`` is called.
+    """
     for _ in range(1000):
         g = rng.gamma(2.0, size=dim)
         p = g / g.sum()
@@ -512,9 +519,12 @@ def random_simplex_point(rng: np.random.Generator, dim: int) -> SimplexPoint:
 
 
 def random_tangent(
-    rng: np.random.Generator, base: SimplexPoint, max_ratio: float | None = None
+    rng: Draws, base: SimplexPoint, max_ratio: float | None = None
 ) -> TangentVector:
-    """Random zero-sum vector at ``base``; optionally cap max |v_n / p_n|."""
+    """Random zero-sum vector at ``base``; optionally cap max |v_n / p_n|.
+
+    ``rng`` is a numpy Generator or a ``Draws``: only its ``standard_normal`` is called.
+    """
     v = make_tangent(base, rng.standard_normal(base.dim))
     if max_ratio is not None:
         r = float(np.max(np.abs(v.comps) / base.coords))

@@ -815,23 +815,33 @@ class TestRejectedInputs:
         assert not out.exists() and not recwarn.list
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # Loading numpy.random costs about 10 ms and 5 MB of peak RSS per process, and
-    # the flow, geodesic and lp commands draw nothing.  Only a seeded command may load it.
+def test_import_leaves_numpy_random_unloaded(tmp_path):
+    # numpy.random costs about 5.5 MB of peak RSS per process, 3.4 MB of it OpenSSL's
+    # libcrypto through _hashlib; the seeded commands draw from _draws.Draws instead,
+    # which is loaded on the first draw, so importing the CLI does not load it either.
     probe = (
-        "import sys, numpy\n"
-        "before = 'numpy.random' in sys.modules\n"
-        "import simplexgeo.cli\n"
-        "print(before, 'numpy.random' in sys.modules)\n"
+        "import sys\n"
+        "import simplexgeo.cli as cli\n"
+        "print('simplexgeo._draws' in sys.modules)\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert cli.main(argv.split()) == 0, argv\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)), 'simplexgeo._draws' in sys.modules)\n"
     )
+    runs = [
+        f"bracket --dim 4 --out {tmp_path / 'bracket.json'}",
+        f"isometry --dim 4 --out {tmp_path / 'isometry.json'}",
+        f"integrability --dim 4 --c explicit:1,2,3,4 --out {tmp_path / 'integrability.json'}",
+        f"check-all --dim 4 --out {tmp_path / 'check-all.json'}",
+    ]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *runs],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
     assert done.returncode == 0, done.stderr
-    before, after = done.stdout.split()
-    assert after == before, "import simplexgeo.cli loaded numpy.random"
+    lines = done.stdout.splitlines()
+    assert lines[0] == "False", "import simplexgeo.cli loaded simplexgeo._draws"
+    assert lines[-1] == "[] True"

@@ -25,6 +25,8 @@ error its constructor raises is a check the rule's own function makes.
 No package statement reads the environment or the wall clock (``os.environ``,
 ``os.getenv``, ``time.time``, ``datetime.now`` and the like, as an attribute
 or a ``from`` import), so the command line alone decides a run.
+No package statement names ``numpy.random`` (as an attribute of numpy or in
+an import): the package draws from ``_draws.Draws``, so no command loads it.
 ``__init__.py`` imports modules without using them, so it has its own
 rule: each public name has one import path, its home module.  A constant
 that ``README.md`` quotes in backticks as ``[simplexgeo.]module.NAME =
@@ -266,6 +268,32 @@ def hidden_inputs(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module:
             found += [f"{node.module.split('.')[-1]}.{alias.name}" for alias in node.names]
     return sorted(name for name in found if name in _HIDDEN_INPUTS)
+
+
+def numpy_random_uses(source: str) -> list[str]:
+    """Each line that names ``numpy.random``: an attribute ``random`` of a name bound
+    to numpy, ``import numpy.random[...]`` or ``from numpy[.random...] import``."""
+    tree = ast.parse(source)
+    numpy_names = {"numpy"} | {
+        alias.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "numpy" and alias.asname
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            hit = isinstance(node.value, ast.Name) and node.value.id in numpy_names
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.random") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names)
+            )
+        else:
+            continue
+        if hit:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return sorted(set(found))
 
 
 def unused_conftest_functions(conftest: str, tests: list[str]) -> list[str]:
@@ -548,6 +576,19 @@ def test_checker_flags_an_environment_or_clock_read():
     assert hidden_inputs("from time import time\nfrom datetime import datetime\n") == ["time.time"]
 
 
+def test_checker_flags_a_numpy_random_use():
+    source = (
+        "import numpy as np\nimport numpy as xp\nimport numpy.random\n"
+        "from numpy import random as npr, zeros\nfrom numpy.random import default_rng\n\n"
+        "def f(other, random):\n    g = np.random.default_rng(0)\n    return xp.random, np.zeros(3), other.random, random\n"
+    )
+    assert numpy_random_uses(source) == [
+        "line 3: import numpy.random", "line 4: from numpy import random as npr, zeros",
+        "line 5: from numpy.random import default_rng", "line 8: np.random", "line 9: xp.random",
+    ]
+    assert numpy_random_uses("import numpy as np\nx = np.zeros(3)\nrandom = 1\n") == []
+
+
 def test_checker_flags_a_command_the_docs_miss():
     docstring = "Tool.\n\nCommands\n    run    do it\n    stop   halt\n\nExit status 0.\n"
     readme = (
@@ -627,6 +668,11 @@ def test_no_class_is_built_only_to_raise():
 def test_no_package_statement_reads_the_environment_or_the_clock():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert [name for source in sources for name in hidden_inputs(source)] == []
+
+
+def test_no_package_statement_names_numpy_random():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: numpy_random_uses(source) for name, source in sources.items() if numpy_random_uses(source)} == {}
 
 
 def test_readme_quotes_every_constant_at_its_value():

@@ -14,8 +14,9 @@ from simplexgeo.errors import (
     NonFiniteInput,
     NotNormalizable,
 )
+from simplexgeo.checks import check_transforms
 from simplexgeo.flows import LinearObjective, flow_closed_form, gradient_field, solve_lp
-from simplexgeo.hamiltonian import ComplexPoint, QuadraticHamiltonian, hamiltonian_flow
+from simplexgeo.hamiltonian import ComplexPoint, QuadraticHamiltonian, hamiltonian_flow, integrability_suite
 from simplexgeo.sequence_core import (
     SequenceSpec,
     SimplexPoint,
@@ -65,10 +66,17 @@ REJECTING_RNG = SimpleNamespace(gamma=_one_small_coordinate)
          "coords must be a one-dimensional vector"),
         (lambda: SphereTangent(HALVES, [[0.1, -0.1, 0.2, -0.2]]), DimensionTooSmall,
          "components must be a one-dimensional vector"),
+        (lambda: integrability_suite([1.0, 2.0], 1, -1), InvalidParameter,
+         "seed must be a non-negative integer, got -1"),
+        (lambda: integrability_suite([1.0, 2.0], 1, 1.5), InvalidParameter,
+         "seed must be a non-negative integer, got 1.5"),
+        (lambda: check_transforms(4, -3), InvalidParameter,
+         "seed must be a non-negative integer, got -3"),
     ],
     ids=["objective-one-coefficient", "gradient-field-dim", "closed-form-dim", "lp-tol-nan",
          "complex-point-empty", "complex-point-2d", "hamiltonian-flow-inf", "explicit-no-coords",
-         "simplex-draw-limit", "sphere-point-2d", "sphere-tangent-2d"],
+         "simplex-draw-limit", "sphere-point-2d", "sphere-tangent-2d", "suite-negative-seed",
+         "suite-float-seed", "checks-negative-seed"],
 )
 def test_raises_its_typed_error(call, error, message):
     with pytest.raises(error) as err:
