@@ -17,6 +17,7 @@ Re z_k, Im z_k of the canonical pair (:func:`coordinate_jets`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -98,6 +99,16 @@ class QuadraticHamiltonian:
         return hamiltonian_value(self, z)
 
 
+def _index(value, what: str) -> int:
+    """An integer argument as an int; a bool (``True`` is not index 1) or a non-integer raises."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+
+
 def _check_dim(H: QuadraticHamiltonian, n: int) -> None:
     if H.dim != n:
         raise DimensionMismatch(f"weights dim {H.dim}, point dim {n}")
@@ -106,6 +117,7 @@ def _check_dim(H: QuadraticHamiltonian, n: int) -> None:
 def coordinate_hamiltonian(c, n: int) -> QuadraticHamiltonian:
     """The single-mode integral H_n: weight c_n on coordinate n, zero elsewhere."""
     c = np.asarray(c, dtype=float)
+    n = _index(n, "mode index")
     if n < 0:
         raise InvalidParameter(f"mode index must be >= 0, got {n}")
     if n >= c.size:
@@ -143,25 +155,77 @@ def hamiltonian_value(H: QuadraticHamiltonian, z: ComplexPoint | np.ndarray) -> 
 # ---------------------------------------------------------------------------
 
 
+class _ConjugateJet(tuple):
+    """A 1-jet (dH/dz, dH/dzbar) whose dH/dzbar equals conj(dH/dz), both arrays read-only.
+
+    Only :func:`_jets` makes one, after checking the equality, and it
+    makes both arrays read-only first; :func:`poisson_bracket` skips its
+    complex residue for a pair of them.
+    """
+
+    __slots__ = ()
+
+
+def _jets(dz: np.ndarray, dzbar: np.ndarray) -> list[tuple]:
+    """The rows of dz and dzbar as 1-jets, read-only; each exact conjugate pair is certified.
+
+    The certificate is one elementwise comparison per jet, so a jet with a
+    NaN stays a plain tuple (and keeps the bracket's residue check).
+    """
+    dz.setflags(write=False)
+    dzbar.setflags(write=False)
+    exact = (dzbar == dz.conjugate()).all(axis=1)
+    return [(_ConjugateJet if ok else tuple)((f, g)) for f, g, ok in zip(dz, dzbar, exact)]
+
+
 def _row_values(H: QuadraticHamiltonian, abs2: np.ndarray) -> np.ndarray:
     """H at every row of a perturbation block from the rows' |z|^2, bitwise :func:`hamiltonian_value`."""
     return (H.weights * abs2).sum(axis=1)
+
+
+def _mode_values(w: np.ndarray, abs2: np.ndarray) -> np.ndarray:
+    """Single-mode quadratics w_k |z_k + e|^2 from the (4, S) perturbed |z_k + e|^2 of their coordinates."""
+    return w * abs2
+
+
+def _derivatives(dz: np.ndarray, dzbar: np.ndarray, at, values: np.ndarray) -> None:
+    """Central differences from (plus_x, minus_x, plus_y, minus_y) values, into dz[at] and dzbar[at]."""
+    plus_x, minus_x, plus_y, minus_y = values
+    df_dx = (plus_x - minus_x) / (2.0 * WIRTINGER_STEP)
+    df_dy = (plus_y - minus_y) / (2.0 * WIRTINGER_STEP)
+    dz[at] = 0.5 * (df_dx - 1j * df_dy)
+    dzbar[at] = 0.5 * (df_dx + 1j * df_dy)
 
 
 def wirtinger(hamiltonians: list[QuadraticHamiltonian], z, numeric: bool = False) -> list[tuple]:
     """1-jets (dH/dz, dH/dzbar) of every diagonal quadratic at z, in order.
 
     The exact jets are (w * conj(z), w * z); with ``numeric`` set (how the
-    oracle cross-checks them) they are central differences on one
-    perturbation stack.  Anything but a :class:`QuadraticHamiltonian`
+    oracle cross-checks them) they are central differences of H at the 4N
+    perturbed points z + e_j, z - e_j, z + i e_j and z - i e_j, e_j the
+    step on coordinate j.  Anything but a :class:`QuadraticHamiltonian`
     raises before any work.
 
-    The stack holds z + e_j, z - e_j, z + i e_j and z - i e_j for each
-    coordinate j, e_j the step on coordinate j, built as z +- D so that
-    each row is bitwise the vector a per-coordinate loop would evaluate;
-    every quadratic reads all rows from one shared |row|^2.  The stack is
-    built in blocks of at most ``_STACK_BLOCK`` entries (whole coordinates
-    at a time, at least one).
+    A quadratic with exactly one nonzero weight w_k (a single-mode integral)
+    skips the stack: it is evaluated four times, at z_k + e, z_k - e,
+    z_k + i e and z_k - i e, as w_k |z_k + e|^2 with the stack's own float
+    operations.  Off coordinate k both values of each difference are the
+    one float w_k |z_k|^2, so its jet there is an exact zero.  That is
+    bitwise the stack's jet whenever every |row|^2, the four values and
+    w_k |z_k|^2 are finite: the other weights then add exact zeros to the
+    one product, and where that product is zero the stack's sum can differ
+    only in the sign of a zero, which each difference drops.  A quadratic
+    for which that fails goes to the stack.
+
+    Every other quadratic reads one perturbation stack of 4N rows, built
+    only if one needs it, as z +- D, so that each row is bitwise the vector
+    a per-coordinate loop would evaluate; they share one |row|^2.  The
+    stack is built in blocks of at most ``_STACK_BLOCK`` entries (whole
+    coordinates at a time, at least one).
+
+    The arrays returned are read-only.  A jet whose dH/dzbar is exactly
+    conj(dH/dz), which is every jet without a NaN, is certified, and
+    :func:`poisson_bracket` skips the complex residue of a certified pair.
     """
     a = _coords_of(z)
     n = a.size
@@ -169,42 +233,55 @@ def wirtinger(hamiltonians: list[QuadraticHamiltonian], z, numeric: bool = False
         if not isinstance(H, QuadraticHamiltonian):
             raise InvalidParameter(f"wirtinger takes QuadraticHamiltonians, got {type(H).__name__}")
         _check_dim(H, n)
+    weights = np.array([H.weights for H in hamiltonians]).reshape(len(hamiltonians), n)
     if not numeric:
-        return [(H.weights * a.conjugate(), H.weights * a) for H in hamiltonians]
-    dz = np.empty((len(hamiltonians), n), dtype=complex)
-    dzbar = np.empty_like(dz)
+        return _jets(weights * a.conjugate(), weights * a)
+    dz = np.zeros((len(hamiltonians), n), dtype=complex)
+    dzbar = np.zeros_like(dz)
+    # Python-level supports: numpy's counting kernels would touch more of its code pages (peak RSS).
+    supports = (H.weights.nonzero()[0] for H in hamiltonians)
+    modes = [(i, support[0]) for i, support in enumerate(supports) if support.size == 1]
+    single, k = np.array(modes, dtype=np.intp).reshape(-1, 2).T
+    w = weights[single, k]
+    step = WIRTINGER_STEP
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs2 = np.abs(np.concatenate((a, a + step, a - step, a + 1j * step, a - 1j * step))) ** 2
+        values = _mode_values(w, abs2[n:].reshape(4, n)[:, k])
+        alone = np.isfinite(values).all(axis=0) & np.isfinite(w * abs2[k])
+    alone &= bool(np.isfinite(abs2).all())
+    _derivatives(dz, dzbar, (single[alone], k[alone]), values[:, alone])
+    done = set(single[alone].tolist())
+    stacked = [(i, H) for i, H in enumerate(hamiltonians) if i not in done]
     width = max(1, _STACK_BLOCK // (4 * n))
-    for lo in range(0, n, width):
+    for lo in range(0, n if stacked else 0, width):
         block = slice(lo, min(n, lo + width))
         m = block.stop - lo
         d = np.zeros((m, n), dtype=complex)
         d[np.arange(m), np.arange(lo, block.stop)] = WIRTINGER_STEP
         abs2 = np.abs(np.concatenate((a + d, a - d, a + 1j * d, a - 1j * d))) ** 2
-        for i, H in enumerate(hamiltonians):
-            plus_x, minus_x, plus_y, minus_y = _row_values(H, abs2).reshape(4, m)
-            df_dx = (plus_x - minus_x) / (2.0 * WIRTINGER_STEP)
-            df_dy = (plus_y - minus_y) / (2.0 * WIRTINGER_STEP)
-            dz[i, block] = 0.5 * (df_dx - 1j * df_dy)
-            dzbar[i, block] = 0.5 * (df_dx + 1j * df_dy)
-    return list(zip(dz, dzbar))
+        for i, H in stacked:
+            _derivatives(dz, dzbar, (i, block), _row_values(H, abs2).reshape(4, m))
+    return _jets(dz, dzbar)
 
 
 def coordinate_jets(z, k: int) -> tuple[tuple, tuple]:
     """Exact 1-jets of Re z_k and Im z_k at z: (1/2, 1/2) and (-i/2, i/2) at coordinate k.
 
     Both are zero elsewhere, and ``poisson_bracket(*coordinate_jets(z, k))``
-    is the canonical pair {Re z_k, Im z_k} = 1.
+    is the canonical pair {Re z_k, Im z_k} = 1.  Both jets are read-only
+    and certified conjugate pairs.
     """
     n = _coords_of(z).size
+    k = _index(k, "coordinate index")
     if k < 0:
         raise InvalidParameter(f"coordinate index must be >= 0, got {k}")
     if k >= n:
         raise DimensionMismatch(f"coordinate index {k}, point dim {n}")
-    re_dz = np.zeros(n, dtype=complex)
-    re_dz[k] = 0.5
-    im_dz, im_dzbar = np.zeros((2, n), dtype=complex)
-    im_dz[k], im_dzbar[k] = -0.5j, 0.5j
-    return (re_dz, re_dz.copy()), (im_dz, im_dzbar)
+    dz = np.zeros((2, n), dtype=complex)
+    dzbar = np.zeros_like(dz)
+    dz[:, k] = 0.5, -0.5j
+    dzbar[:, k] = 0.5, 0.5j
+    return tuple(_jets(dz, dzbar))
 
 
 def poisson_bracket(df: tuple, dg: tuple) -> float:
@@ -213,17 +290,27 @@ def poisson_bracket(df: tuple, dg: tuple) -> float:
     ``df`` and ``dg`` are (df/dz, df/dzbar) pairs at one point, from
     :func:`wirtinger` or :func:`coordinate_jets`: a bracket reads nothing
     else.  Real observables give a real bracket; an imaginary part above
-    1e-10 signals a jet of a non-real one and raises.  The returned real
-    part is evaluated in real arithmetic (for real observables the bracket reduces to
-    -4 sum Im(conj(df/dz) dg/dz)), so structurally cancelling terms, e.g.
-    derivatives with disjoint supports, give exactly 0.0 regardless of
-    fused-multiply complex rounding.
+    1e-10 signals a jet of a non-real one and raises.  That residue is
+    skipped only when both jets are certified conjugate pairs (as
+    :func:`wirtinger` and :func:`coordinate_jets` return them): there each
+    term's real part is one rounded product minus itself, so the residue
+    is +-0 or NaN and cannot trip the check, and the pair costs four real
+    products and one sum.  Any other pair, a plain tuple from an outside
+    caller or a jet with a NaN, is checked, which adds two complex
+    products, their difference and a complex sum.
+
+    The returned real part is evaluated in real arithmetic (for real
+    observables the bracket reduces to -4 sum Im(conj(df/dz) dg/dz)), so
+    structurally cancelling terms, e.g. derivatives with disjoint
+    supports, give exactly 0.0 regardless of fused-multiply complex
+    rounding.
     """
     df_dz, df_dzbar = df
     dg_dz, dg_dzbar = dg
-    value = 2.0j * (df_dzbar * dg_dz - df_dz * dg_dzbar).sum()
-    if abs(value.imag) > 1e-10:
-        raise ComplexResidue(f"bracket has imaginary part {value.imag}")
+    if not (type(df) is _ConjugateJet and type(dg) is _ConjugateJet):
+        value = 2.0j * (df_dzbar * dg_dz - df_dz * dg_dzbar).sum()
+        if abs(value.imag) > 1e-10:
+            raise ComplexResidue(f"bracket has imaginary part {value.imag}")
     return -4.0 * float((df_dz.real * dg_dz.imag - df_dz.imag * dg_dz.real).sum())
 
 
@@ -237,8 +324,11 @@ def bracket_max(hamiltonians: list[QuadraticHamiltonian], z) -> tuple[float, flo
 
     A bracket reads only the 1-jets of f and g at z, so each path makes
     one :func:`wirtinger` call for all M quadratics (the numeric one
-    builds one perturbation stack of 4N rows) and every pair reads them.
-    Each pair still goes through :func:`poisson_bracket`, with its
+    evaluates each single-mode integral four times and builds one
+    perturbation stack of 4N rows for the others, if any) and every pair
+    reads them.  Each pair still goes through :func:`poisson_bracket`;
+    jets without a NaN are certified conjugate pairs, so a pair costs the
+    real-arithmetic sum alone, and a pair with a NaN jet also gets the
     imaginary-part check.  A NaN bracket makes its path's maximum NaN.
     Products that overflow (weights near the float range) print no warning.
     """
@@ -335,6 +425,7 @@ def integrability_suite(c, trials: int, seed: int) -> dict:
     from ._draws import Draws  # loaded on the first draw, not with the package
 
     c = np.asarray(c, dtype=float)
+    trials = _index(trials, "trials")
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     n = c.size

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplexgeo.sequence_core import TINY, SimplexPoint, softmax_coords, softmax_rows
+from simplexgeo.sequence_core import TINY, SimplexPoint, _fix_up, softmax_coords, softmax_rows
 
 KINDS = ("gamma", "tied", "geometric", "wide")
 DIMS = (2, 3, 8, 64, 256, 1024)
@@ -107,3 +107,12 @@ def test_softmax_rows_match_the_frozen_fix_up(kind, dim, seed, uniform_start, ro
     times = np.linspace(0.0, 2.0, rows)
     want = np.array([frozen_softmax(np.log(p0.coords) + a * t) for t in times])
     assert np.array_equal(softmax_rows(p0, a, times), want)
+
+
+def test_a_row_no_bump_moves_is_left_as_it_is():
+    # Adding 1e-20 rounds back to either coordinate, so the first round finds no
+    # bump to keep and the fix-up ends by its no-progress exit.
+    x = np.array([0.5, 0.5 - 2.0**-54])
+    before = x.copy()
+    _fix_up(x, 1e-20)
+    assert x.tobytes() == before.tobytes()

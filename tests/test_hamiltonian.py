@@ -300,6 +300,166 @@ class TestStackedWirtinger:
         assert peak < 16 * 2**20
 
 
+def frozen_poisson_bracket(df, dg):
+    """poisson_bracket before certified jets: every pair gets the complex residue check."""
+    df_dz, df_dzbar = df
+    dg_dz, dg_dzbar = dg
+    value = 2.0j * (df_dzbar * dg_dz - df_dz * dg_dzbar).sum()
+    if abs(value.imag) > 1e-10:
+        raise ComplexResidue(f"bracket has imaginary part {value.imag}")
+    return -4.0 * float((df_dz.real * dg_dz.imag - df_dz.imag * dg_dz.real).sum())
+
+
+def frozen_numeric_wirtinger(hamiltonians, z):
+    """wirtinger(numeric=True) before single-mode jets: every quadratic reads the stack."""
+    a = np.asarray(z, dtype=complex)
+    n = a.size
+    dz = np.empty((len(hamiltonians), n), dtype=complex)
+    dzbar = np.empty_like(dz)
+    width = max(1, hamiltonian._STACK_BLOCK // (4 * n))
+    for lo in range(0, n, width):
+        block = slice(lo, min(n, lo + width))
+        m = block.stop - lo
+        d = np.zeros((m, n), dtype=complex)
+        d[np.arange(m), np.arange(lo, block.stop)] = WIRTINGER_STEP
+        abs2 = np.abs(np.concatenate((a + d, a - d, a + 1j * d, a - 1j * d))) ** 2
+        for i, H in enumerate(hamiltonians):
+            plus_x, minus_x, plus_y, minus_y = (H.weights * abs2).sum(axis=1).reshape(4, m)
+            df_dx = (plus_x - minus_x) / (2.0 * WIRTINGER_STEP)
+            df_dy = (plus_y - minus_y) / (2.0 * WIRTINGER_STEP)
+            dz[i, block] = 0.5 * (df_dx - 1j * df_dy)
+            dzbar[i, block] = 0.5 * (df_dx + 1j * df_dy)
+    return list(zip(dz, dzbar))
+
+
+def outcome(bracket, df, dg):
+    """The bits of a bracket, or the name of the typed error it raised."""
+    try:
+        return np.float64(bracket(df, dg)).tobytes()
+    except ComplexResidue:
+        return "ComplexResidue"
+
+
+def certified(jet):
+    return type(jet) is hamiltonian._ConjugateJet
+
+
+# Float parts that reach every branch of the residue: signed zeros, infinities,
+# NaN, the ends of the float range and ordinary values.
+EDGE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 5e-324, 0.5, -1.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def one_jet(dz, dzbar):
+    [made] = hamiltonian._jets(np.array([dz], dtype=complex), np.array([dzbar], dtype=complex))
+    return made
+
+
+@st.composite
+def jets(draw, n):
+    """A 1-jet as wirtinger's private helper returns it: an exact conjugate pair, one with
+    some entries or only some imaginary parts changed, dz itself, or an unrelated vector."""
+    dz = np.array(draw(st.lists(st.builds(complex, EDGE_PARTS, EDGE_PARTS), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["conjugate", "changed", "imaginary", "unconjugated", "unrelated"]))
+    if kind == "unrelated":
+        dzbar = np.array(draw(st.lists(st.builds(complex, EDGE_PARTS, EDGE_PARTS), min_size=n, max_size=n)))
+    elif kind == "unconjugated":
+        dzbar = dz.copy()
+    else:
+        dzbar = dz.conjugate()
+        changed = [] if kind == "conjugate" else draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        for j in changed:
+            real = dzbar[j].real if kind == "imaginary" else draw(EDGE_PARTS)
+            dzbar[j] = complex(real, draw(EDGE_PARTS))
+    return one_jet(dz, dzbar)
+
+
+class TestCertifiedJets:
+    @settings(max_examples=300)
+    @given(pair=st.integers(1, 6).flatmap(lambda n: st.tuples(jets(n), jets(n))))
+    # A jet with dz as its own dzbar: its real parts match conj(dz), and the residue is -0.5.
+    @example(pair=(one_jet([1.0 + 0.5j], [1.0 + 0.5j]), one_jet([0.5 + 0.25j], [0.5 - 0.25j])))
+    def test_bracket_matches_the_checked_bracket(self, pair):
+        df, dg = pair
+        for jet in (df, dg):
+            assert certified(jet) == np.array_equal(jet[1], jet[0].conjugate())
+        with np.errstate(all="ignore"):
+            assert outcome(poisson_bracket, df, dg) == outcome(frozen_poisson_bracket, tuple(df), tuple(dg))
+
+    def test_returned_jets_are_certified_and_read_only(self, rng):
+        z = random_complex_point(rng, 5)
+        c = rng.uniform(0.5, 3.0, 5)
+        returned = [
+            *wirtinger([QuadraticHamiltonian(c), coordinate_hamiltonian(c, 2)], z),
+            *wirtinger([QuadraticHamiltonian(c), coordinate_hamiltonian(c, 2)], z, numeric=True),
+            *coordinate_jets(z, 3),
+        ]
+        for jet in returned:
+            assert certified(jet)
+            for part in jet:
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    part.base[0] = 1.0
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_nan_jets_stay_plain_tuples(self, numeric):
+        # 0 * NaN is NaN, so even the zero quadratic's jet has a NaN and keeps the check.
+        z = np.array([math.nan, 0.5 + 0.5j])
+        with np.errstate(invalid="ignore"):
+            returned = wirtinger([QuadraticHamiltonian([1.0, 2.0]), QuadraticHamiltonian([0.0, 0.0])], z, numeric)
+            assert [type(jet) for jet in returned] == [tuple, tuple]
+            assert math.isnan(poisson_bracket(*returned))
+
+
+@st.composite
+def quadratic_weights(draw, n):
+    """Weights with one nonzero entry (of any magnitude, zeros of either sign elsewhere),
+    several nonzero entries, or none."""
+    kind = draw(st.sampled_from(["single", "single", "multi", "zero"]))
+    w = np.full(n, draw(st.sampled_from([0.0, -0.0])))
+    if kind == "single":
+        size = draw(st.sampled_from([5e-324, 1e-320, 1e-300, 1e-12, 0.1, 1.0, 7.5, 1e12, 1e300, 1.7e308]))
+        w[draw(st.integers(0, n - 1))] = draw(st.floats(0.5, 1.0)) * draw(st.sampled_from([1.0, -1.0])) * size
+    elif kind == "multi":
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        w[:] = scale * np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    return QuadraticHamiltonian(w)
+
+
+class TestSingleModeJets:
+    @settings(max_examples=80)
+    @given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(n=70, seed=0, data=None)
+    def test_numeric_jets_match_the_stack(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        z = (rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)) * 10.0 ** rng.uniform(-8.0, 1.0, n)
+        if data is None:
+            c = rng.uniform(0.5, 3.0, n)
+            quadratics = [QuadraticHamiltonian(c), *(coordinate_hamiltonian(c, k) for k in range(n))]
+        else:
+            edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(
+                [0.0, -0.0, 1e-300, 1e150, 1e155, 1e300, math.inf, math.nan, -WIRTINGER_STEP]
+            ), st.booleans()), max_size=3))
+            for j, value, imaginary in edges:
+                if imaginary:
+                    z.imag[j] = value
+                else:
+                    z.real[j] = value
+            quadratics = data.draw(st.lists(quadratic_weights(n), min_size=1, max_size=6))
+        with np.errstate(all="ignore"):
+            new = wirtinger(quadratics, z, numeric=True)
+            old = frozen_numeric_wirtinger(quadratics, z)
+            for (dz, dzbar), (ref_dz, ref_dzbar) in zip(new, old, strict=True):
+                assert np.array_equal(bits(dz), bits(ref_dz))
+                assert np.array_equal(bits(dzbar), bits(ref_dzbar))
+            for f, ref_f in zip(new, old):
+                for g, ref_g in zip(new, old):
+                    assert outcome(poisson_bracket, f, g) == outcome(frozen_poisson_bracket, ref_f, ref_g)
+
+
 @pytest.fixture
 def evaluations(monkeypatch):
     """Rows of the perturbation stack evaluated, and scalar QuadraticHamiltonian calls."""
@@ -317,6 +477,20 @@ def evaluations(monkeypatch):
 
     monkeypatch.setattr(hamiltonian, "_row_values", rows)
     monkeypatch.setattr(QuadraticHamiltonian, "__call__", counted)
+    return counts
+
+
+@pytest.fixture
+def mode_evaluations(monkeypatch):
+    """Values of single-mode quadratics taken off the perturbation stack."""
+    counts = {"values": 0}
+    mode_values = hamiltonian._mode_values
+
+    def counted(w, abs2):
+        counts["values"] += abs2.size
+        return mode_values(w, abs2)
+
+    monkeypatch.setattr(hamiltonian, "_mode_values", counted)
     return counts
 
 
@@ -350,16 +524,22 @@ class TestBracketMax:
         assert evaluations == {"rows": 0, "quadratic_calls": 0}
 
     @pytest.mark.parametrize("n, count", [(4, 3), (8, 9)])
-    def test_each_gradient_once(self, rng, evaluations, n, count):
+    def test_each_gradient_once(self, rng, evaluations, mode_evaluations, n, count):
+        # Single-mode integrals only: each is evaluated at its coordinate's four
+        # perturbed values, once, and no stack row is built.
         c = rng.uniform(0.5, 3.0, n)
         modes = [coordinate_hamiltonian(c, k % n) for k in range(count)]
         bracket_max(modes, random_complex_point(rng, n))
-        assert evaluations == {"rows": count * 4 * n, "quadratic_calls": 0}
+        assert evaluations == {"rows": 0, "quadratic_calls": 0}
+        assert mode_evaluations == {"values": count * 4}
 
-    def test_integrability_suite_evaluations(self, evaluations):
+    def test_integrability_suite_evaluations(self, evaluations, mode_evaluations):
+        # Per trial the full Hamiltonian reads the 4N stack rows once and each of
+        # the N modes takes four values; the Gram block differentiates exactly.
         n, trials = 6, 3
         integrability_suite(np.linspace(2.0, 1.0, n), trials=trials, seed=11)
-        assert evaluations == {"rows": trials * (n + 1) * 4 * n, "quadratic_calls": 0}
+        assert evaluations == {"rows": trials * 4 * n, "quadratic_calls": 0}
+        assert mode_evaluations == {"values": trials * n * 4}
 
 
 class TestBracketVerdict:
